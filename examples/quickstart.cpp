@@ -6,7 +6,7 @@
 //  3. The boundary is compiled ONCE into an immutable artifact
 //     (pi::CompiledModel) and served many times: one single inference,
 //     then a batch of four whose revealed clear-layer tails the server
-//     executes as one batched plaintext pass (pi::InferenceService).
+//     executes as one batched plaintext pass (pi::run_batch).
 //
 // Build & run:  ./build/examples/quickstart
 

@@ -236,12 +236,15 @@ public:
     /// Queue a task unless the queue is draining or the in-flight bound
     /// is reached; returns whether the task was accepted. An accepted
     /// task is guaranteed to run, even if drain() is called right after.
-    [[nodiscard]] bool try_submit(std::function<void()> task) {
+    /// `then` (optional) runs on the same worker once the task's
+    /// in-flight slot is released, so whatever it reports happens after
+    /// the queue can admit a successor; drain() still waits for it.
+    [[nodiscard]] bool try_submit(std::function<void()> task, std::function<void()> then = {}) {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (draining_ || in_flight_ >= bound_) return false;
             ++in_flight_;
-            queue_.push_back(std::move(task));
+            queue_.push_back({std::move(task), std::move(then)});
         }
         cv_work_.notify_one();
         return true;
@@ -273,20 +276,30 @@ private:
         for (;;) {
             cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
             if (queue_.empty()) return;  // stop_ set and nothing left to run
-            auto task = std::move(queue_.front());
+            Entry entry = std::move(queue_.front());
             queue_.pop_front();
             lock.unlock();
-            task();
+            entry.task();
             lock.lock();
             if (--in_flight_ == 0) cv_idle_.notify_all();
+            if (entry.then) {
+                lock.unlock();
+                entry.then();
+                lock.lock();
+            }
         }
     }
+
+    struct Entry {
+        std::function<void()> task;
+        std::function<void()> then;
+    };
 
     const std::size_t bound_;
     mutable std::mutex mutex_;
     std::condition_variable cv_work_;  ///< wakes workers on new tasks / stop
     std::condition_variable cv_idle_;  ///< wakes drain() when in_flight_ hits 0
-    std::deque<std::function<void()>> queue_;
+    std::deque<Entry> queue_;
     std::size_t in_flight_ = 0;  ///< queued + running
     bool draining_ = false;
     bool stop_ = false;

@@ -12,20 +12,15 @@
 /// server's new share is r (plus its plain contribution). Outputs carry
 /// fixed-point scale 2f and must be truncated by the caller.
 ///
-/// Two server entry points per layer type:
-///
-///  * the cache-based fast path (`ConvLayerCache` / `MatVecLayerCache`):
-///    every input-independent piece — encoder geometry, the NTT-form
-///    weight plaintexts and their Shoup companions — is precomputed once
-///    (CompiledModel construction) and only the input-dependent work runs
-///    per inference. The per-response ciphertexts are computed in
-///    parallel over the cache's thread pool but SENT in deterministic
-///    channel order, so the wire transcript, the traffic accounting and
-///    the client's view are bit-identical to the serial path;
-///
-///  * the span-based convenience overloads, which build a throwaway cache
-///    per call. Same transcript, seed-era cost; kept for tests and
-///    one-shot callers.
+/// The server runs over a layer cache (`ConvLayerCache` /
+/// `MatVecLayerCache`): every input-independent piece — encoder
+/// geometry, the NTT-form weight plaintexts and their Shoup companions —
+/// is precomputed once (CompiledModel construction) and only the
+/// input-dependent work runs per inference. The per-response ciphertexts
+/// are computed in parallel over the cache's thread pool but SENT in
+/// deterministic channel order, so the wire transcript, the traffic
+/// accounting and the client's view are bit-identical to the serial
+/// path.
 
 #include <memory>
 
@@ -37,9 +32,11 @@ namespace c2pi::mpc {
 
 /// Input-independent server precompute for one conv layer: encoder
 /// geometry plus one NTT-form weight plaintext per (output channel,
-/// input group) pair. `weights`/`bias2f` are borrowed views (the ring
-/// conv of the server's own share still needs the raw weights); the
-/// owner — CompiledModel's ServerLayerData — must outlive the cache.
+/// input group) pair. `weights` are ring-encoded [O,C,k,k]; `bias2f`
+/// (may be empty) is per-output-channel at scale 2^2f. Both are borrowed
+/// views (the ring conv of the server's own share still needs the raw
+/// weights); the owner — CompiledModel's ServerLayerData — must outlive
+/// the cache.
 struct ConvLayerCache {
     /// `precompute_weights = false` builds a client-side cache: encoder
     /// geometry and scatter indices only, no weight NTTs (the client
@@ -82,33 +79,17 @@ struct MatVecLayerCache {
 [[nodiscard]] std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
                                                std::span<const Ring> x_share);
 
-/// Convenience overload: builds a throwaway cache. `weights` are
-/// ring-encoded [O,C,k,k], `bias2f` (may be empty) is per-output-channel
-/// at scale 2^2f.
-[[nodiscard]] std::vector<Ring> he_conv_server(PartyContext& ctx, const he::ConvGeometry& geo,
-                                               std::span<const Ring> weights,
-                                               std::span<const Ring> bias2f,
-                                               std::span<const Ring> x_share);
-
 /// Client side; `x_share` is the client's input share. The encoder
 /// carries only public geometry, so the client reuses the compiled
 /// artifact's encoder instead of rebuilding it per request.
 [[nodiscard]] std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
-                                               std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvGeometry& geo,
                                                std::span<const Ring> x_share);
 
 /// Fully-connected counterparts: weights [out,in] row-major.
 [[nodiscard]] std::vector<Ring> he_matvec_server(PartyContext& ctx,
                                                  const MatVecLayerCache& cache,
                                                  std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_matvec_server(PartyContext& ctx, std::int64_t in,
-                                                 std::int64_t out, std::span<const Ring> weights,
-                                                 std::span<const Ring> bias2f,
-                                                 std::span<const Ring> x_share);
 [[nodiscard]] std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& enc,
                                                  std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_matvec_client(PartyContext& ctx, std::int64_t in,
-                                                 std::int64_t out, std::span<const Ring> x_share);
 
 }  // namespace c2pi::mpc

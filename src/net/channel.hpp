@@ -138,6 +138,10 @@ public:
         channel_->queue_to(party_).abort();
     }
 
+    /// End of session: the peer still reads every message already sent,
+    /// then raises PeerClosed instead of blocking forever.
+    void close() noexcept override { channel_->queue_to(1 - party_).abort(); }
+
     /// Session bootstrap (artifact shipping): enqueued like any message
     /// but NOT metered — setup bytes are transport overhead, never
     /// protocol traffic (mirrors TcpTransport's unmetered kArtifact

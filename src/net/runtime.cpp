@@ -1,6 +1,5 @@
 #include "net/runtime.hpp"
 
-#include <exception>
 #include <thread>
 
 #include "core/stopwatch.hpp"
@@ -8,43 +7,43 @@
 namespace c2pi::net {
 
 namespace {
-/// Unblock a peer that may be waiting on recv after our party died:
-/// flood its queue with empty poison messages. The peer's typed recv
-/// helpers reject them (size checks) and the peer unwinds too.
-void poison_peer(DuplexChannel& channel, int dead_party) {
-    for (int i = 0; i < 1024; ++i) channel.queue_to(1 - dead_party).push({});
+bool is_peer_closed(const std::exception_ptr& error) {
+    try {
+        std::rethrow_exception(error);
+    } catch (const PeerClosed&) {
+        return true;
+    } catch (...) {
+        return false;
+    }
 }
 }  // namespace
+
+std::exception_ptr root_cause(const std::exception_ptr& first, const std::exception_ptr& second) {
+    if (first && second && is_peer_closed(first) && !is_peer_closed(second)) return second;
+    return first ? first : second;
+}
 
 RunResult run_two_party(DuplexChannel& channel,
                         const std::function<void(Transport&)>& server,
                         const std::function<void(Transport&)>& client) {
-    std::exception_ptr server_error, client_error;
+    std::exception_ptr errors[2];
     Stopwatch watch;
 
-    std::thread server_thread([&] {
+    const auto party = [&](int id, const std::function<void(Transport&)>& body) {
+        InProcTransport t(channel, id);
         try {
-            InProcTransport t(channel, 0);
-            server(t);
+            body(t);
         } catch (...) {
-            server_error = std::current_exception();
-            poison_peer(channel, 0);
+            errors[id] = std::current_exception();
+            t.abort_connection();
         }
-    });
-    std::thread client_thread([&] {
-        try {
-            InProcTransport t(channel, 1);
-            client(t);
-        } catch (...) {
-            client_error = std::current_exception();
-            poison_peer(channel, 1);
-        }
-    });
+    };
+    std::thread server_thread(party, 0, std::cref(server));
+    std::thread client_thread(party, 1, std::cref(client));
     server_thread.join();
     client_thread.join();
 
-    if (server_error) std::rethrow_exception(server_error);
-    if (client_error) std::rethrow_exception(client_error);
+    if (auto error = root_cause(errors[0], errors[1])) std::rethrow_exception(error);
 
     RunResult result;
     result.wall_seconds = watch.seconds();

@@ -326,13 +326,6 @@ void TcpTransport::send_artifact_bytes(std::span<const std::uint8_t> bytes) {
     send_frame(FrameType::kArtifact, phase_, bytes);
 }
 
-void TcpTransport::send_busy() {
-    require(is_open(), "tcp send: transport is closed");
-    // Unmetered like the handshake: the session it would have belonged
-    // to never starts, so there is no protocol phase to charge.
-    send_frame(FrameType::kBusy, phase_, {});
-}
-
 std::vector<std::uint8_t> TcpTransport::recv_artifact_bytes() {
     std::vector<std::uint8_t> payload;
     (void)recv_frame_into(payload, FrameType::kArtifact);
@@ -549,12 +542,15 @@ void TcpTransport::close() noexcept {
     close_quietly(fd_);
 }
 
-void TcpTransport::close_now() noexcept {
+void TcpTransport::refuse_busy() noexcept {
     stop_writer(/*swallow_errors=*/true);
     if (fd_ < 0) return;
+    // Unmetered like the handshake: the session these frames would have
+    // belonged to never starts, so there is no protocol phase to charge.
     try {
+        send_frame(FrameType::kBusy, phase_, {});
         send_frame(FrameType::kShutdown, phase_, {});
-    } catch (...) {  // peer already gone; nothing to announce
+    } catch (...) {  // peer already gone; nothing to refuse
     }
     (void)::shutdown(fd_, SHUT_WR);
     close_quietly(fd_);

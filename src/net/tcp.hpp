@@ -114,17 +114,19 @@ public:
     void send_keys_bytes(std::span<const std::uint8_t> bytes) override;
     [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override;
 
-    /// Overload rejection: send a BUSY frame in place of the session's
-    /// ARTIFACT frame (docs/PROTOCOL.md §5), telling the peer the server
-    /// is at capacity. Caller follows up with close(); the peer's
-    /// pending recv raises ServerBusy.
-    void send_busy();
+    /// Overload rejection: a BUSY frame in place of the session's
+    /// ARTIFACT frame (docs/PROTOCOL.md §5), so the peer's pending recv
+    /// raises ServerBusy, then the goodbye frame and half-close without
+    /// the drain. Skipping the drain is safe because the peer has sent
+    /// nothing past the handshake we already read, and it keeps a
+    /// rejection from stalling the accept loop on a slow peer.
+    void refuse_busy() noexcept override;
 
     /// Abort a `recv_bytes` blocked longer than this with a typed
     /// RecvTimeout (0 restores blocking forever). Protects servers from
     /// stalled peers. This is the *steady-state* deadline; see
     /// arm_handshake_deadline for the stricter session-bootstrap one.
-    void set_recv_timeout(int milliseconds);
+    void set_recv_timeout(int milliseconds) override;
 
     /// Arm a one-shot, shorter deadline covering the session-bootstrap
     /// reads: it applies immediately and stays in force until the first
@@ -134,7 +136,7 @@ public:
     /// right after the handshake — is then shed in `milliseconds`, not
     /// pinned against the (much longer) protocol recv timeout
     /// (docs/PROTOCOL.md §9). Call after set_recv_timeout.
-    void arm_handshake_deadline(int milliseconds);
+    void arm_handshake_deadline(int milliseconds) override;
 
     /// Hard abort: close the socket with NO goodbye frame, so the peer
     /// observes a mid-protocol EOF (PeerClosed) — the shape of a crashed
@@ -146,15 +148,7 @@ public:
     /// peer's remaining bytes (bounded — a hostile streamer cannot pin
     /// us here), close. Idempotent; also run (with errors swallowed) by
     /// the destructor.
-    void close() noexcept;
-
-    /// Immediate shutdown: the goodbye frame and half-close, but no
-    /// drain. Only safe when the peer cannot have unsent-but-unread data
-    /// in our receive buffer — the overload-rejection path qualifies
-    /// (the peer has sent nothing past the handshake we already read),
-    /// and skipping the drain keeps a rejection from stalling the accept
-    /// loop on a slow peer. Idempotent with close().
-    void close_now() noexcept;
+    void close() noexcept override;
     [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
 private:

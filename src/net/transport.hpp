@@ -201,6 +201,26 @@ public:
     /// connection to break may leave it a no-op.
     virtual void abort_connection() noexcept {}
 
+    // -- serving lifecycle ---------------------------------------------------
+    // What a serving pool does to every connection it serves, whatever the
+    // transport. The defaults fit transports with no deadlines to arm and
+    // no goodbye to send.
+
+    /// Abort a blocked receive after this long with a typed RecvTimeout
+    /// (0 = block forever). Protects a server from a stalled peer.
+    virtual void set_recv_timeout(int milliseconds) { (void)milliseconds; }
+    /// One-shot, stricter deadline for the session-bootstrap reads; the
+    /// transport reverts to the set_recv_timeout value at the peer's
+    /// first protocol message. Call after set_recv_timeout.
+    virtual void arm_handshake_deadline(int milliseconds) { (void)milliseconds; }
+    /// Graceful end of the session: the peer reads every message already
+    /// sent, then its next receive raises PeerClosed. Idempotent.
+    virtual void close() noexcept {}
+    /// Overload refusal before the session starts: tell the peer to come
+    /// back later, then end the connection. The default is an abrupt
+    /// disconnect; TcpTransport sends the typed BUSY frame.
+    virtual void refuse_busy() noexcept { abort_connection(); }
+
     // -- session bootstrap ---------------------------------------------------
     /// Ship the serialized public model artifact to the peer, before any
     /// protocol message. Artifact bytes are session *setup*, not protocol

@@ -32,12 +32,12 @@ C2piSystem::C2piSystem(nn::Graph& model, const data::SyntheticImageDataset& data
                        const attack::IdpaFactory& make_attack, const C2piOptions& options)
     : boundary_(search_boundary(model, dataset, make_attack, options.boundary)),
       compiled_(model, compile_options(boundary_.boundary, dataset_input_shape(dataset), options)),
-      service_(compiled_, session_config(options)) {}
+      config_(session_config(options)) {}
 
 C2piSystem::C2piSystem(const nn::Graph& model, const nn::CutPoint& boundary,
                        const Shape& input_chw, const C2piOptions& options)
     : boundary_(), compiled_(model, compile_options(boundary, input_chw, options)),
-      service_(compiled_, session_config(options)) {
+      config_(session_config(options)) {
     boundary_.boundary = boundary;
 }
 

@@ -4,13 +4,14 @@
 /// The top-level C2PI facade (paper Fig. 2): the server (a) searches for
 /// the crypto-clear boundary with Algorithm 1 + DINA, then (b) compiles
 /// the model ONCE for that boundary into an immutable `CompiledModel`,
-/// and (c) serves any number of private inferences against it through an
-/// `InferenceService` — per-request crypto layers, batched clear tail.
-/// This header wires boundary search and the serve-many PI API into one
+/// and (c) serves any number of private inferences against it — single
+/// requests through `run_private_inference`, batches through
+/// `run_batch` (per-request crypto layers, batched clear tail). This
+/// header wires boundary search and the serve-many PI API into one
 /// object; see docs/API.md for the underlying compile-once flow.
 
 #include "pi/boundary.hpp"
-#include "pi/service.hpp"
+#include "pi/serving_pool.hpp"
 
 namespace c2pi::pi {
 
@@ -39,23 +40,25 @@ public:
     C2piSystem(const nn::Graph& model, const nn::CutPoint& boundary,
                const Shape& input_chw, const C2piOptions& options);
 
-    /// One private inference; see InferenceService::run.
-    [[nodiscard]] PiResult infer(const Tensor& input) const { return service_.run(input); }
+    /// One private inference; see run_private_inference.
+    [[nodiscard]] PiResult infer(const Tensor& input) const {
+        return run_private_inference(compiled_, config_, input);
+    }
 
     /// Batched private inference: crypto layers per request, the revealed
-    /// clear tail as one batched plaintext pass on the server.
-    [[nodiscard]] InferenceService::BatchResult infer_batch(std::span<const Tensor> inputs) const {
-        return service_.run_batch(inputs);
+    /// clear tail as one batched plaintext pass on the server; see
+    /// run_batch.
+    [[nodiscard]] BatchResult infer_batch(std::span<const Tensor> inputs) const {
+        return run_batch(compiled_, config_, inputs);
     }
 
     [[nodiscard]] const BoundaryResult& boundary() const { return boundary_; }
     [[nodiscard]] const CompiledModel& compiled() const { return compiled_; }
-    [[nodiscard]] const InferenceService& service() const { return service_; }
 
 private:
     BoundaryResult boundary_;
     CompiledModel compiled_;
-    InferenceService service_;
+    SessionConfig config_;
 };
 
 }  // namespace c2pi::pi

@@ -1,8 +1,10 @@
 #include "pi/serving_pool.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "core/stopwatch.hpp"
+#include "net/channel.hpp"
 
 namespace c2pi::pi {
 
@@ -19,6 +21,21 @@ int validated_workers(const ServingPool::Options& o) {
             "ServingPool handshake_timeout_ms must be >= 0 (0 disables the short deadline)");
     require(o.tail_window_ms >= 0, "ServingPool tail_window_ms must be >= 0");
     return core::resolve_thread_count(o.workers);
+}
+
+/// Largest group run_batch serves on one pool: every request of a group
+/// is in flight at once (a pool worker and a client thread each), so
+/// this caps the thread count while a batch of any size still runs at
+/// most ceil(n / 64) clear-tail passes.
+constexpr std::size_t kMaxBatchGroup = 64;
+
+void add_traffic(PiStats& total, const PiStats& s) {
+    total.offline_bytes += s.offline_bytes;
+    total.online_bytes += s.online_bytes;
+    total.preprocess_bytes += s.preprocess_bytes;
+    total.offline_flights += s.offline_flights;
+    total.online_flights += s.online_flights;
+    total.preprocess_flights += s.preprocess_flights;
 }
 
 }  // namespace
@@ -38,9 +55,6 @@ FailureClass classify_failure(const std::exception& e) {
     // they must be tested before the generic Error bucket.
     if (dynamic_cast<const net::RecvTimeout*>(&e) != nullptr) return FailureClass::kTimeout;
     if (dynamic_cast<const net::PeerClosed*>(&e) != nullptr) return FailureClass::kClientAbort;
-    // A sibling session poisoned the shared batch pass — not this
-    // client's doing, and not its protocol's.
-    if (dynamic_cast<const TailBatcher::Aborted*>(&e) != nullptr) return FailureClass::kInternal;
     if (dynamic_cast<const Error*>(&e) != nullptr) return FailureClass::kProtocolViolation;
     return FailureClass::kInternal;
 }
@@ -57,46 +71,48 @@ ServingPool::ServingPool(const CompiledModel& model, SessionConfig config, Optio
     if (options.tail_window_ms > 0 && !model.full_pi()) {
         // At most `workers` sessions can be at the boundary at once, so a
         // group of that size closes with zero extra wait.
-        batcher_ = std::make_unique<TailBatcher>(
-            model, TailBatcher::Windowed{static_cast<std::size_t>(workers()),
-                                         std::chrono::milliseconds(options.tail_window_ms)});
+        batcher_ = std::make_unique<TailBatcher>(model, static_cast<std::size_t>(workers()),
+                                                 std::chrono::milliseconds(options.tail_window_ms));
     }
 }
 
 ServingPool::~ServingPool() { drain(); }
 
-bool ServingPool::serve(std::unique_ptr<net::TcpTransport> transport) {
+bool ServingPool::serve(std::unique_ptr<net::Transport> transport) {
     require(transport != nullptr, "ServingPool::serve needs a connected transport");
     // shared_ptr: std::function requires a copyable callable.
-    std::shared_ptr<net::TcpTransport> shared(std::move(transport));
+    std::shared_ptr<net::Transport> shared(std::move(transport));
     std::uint64_t index = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         index = ++stats_.accepted;
     }
-    const bool admitted =
-        queue_.try_submit([this, shared, index] { serve_one(*shared, index); });
+    // The report goes out once the worker has freed its admission slot, so
+    // an observer that sees a session end can be admitted right away.
+    auto report = std::make_shared<SessionReport>();
+    const bool admitted = queue_.try_submit(
+        [this, shared, index, report] { *report = serve_one(*shared, index); },
+        [this, report] {
+            if (!on_session_) return;
+            // Serialized on its own mutex so one slow observer (stdout)
+            // never blocks a stats() reader.
+            const std::lock_guard<std::mutex> lock(report_mutex_);
+            on_session_(*report);
+        });
     if (!admitted) {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.rejected;
         }
-        // Typed refusal, then an immediate goodbye: the client's pending
-        // recv raises net::ServerBusy instead of a protocol error.
-        // close_now (no drain) because serve() runs on the accept loop —
-        // a slow or hostile peer must not stall admission; the drain is
-        // safe to skip here since the peer has sent nothing past the
-        // handshake we already consumed.
-        try {
-            shared->send_busy();
-        } catch (...) {  // peer already gone; nothing to refuse
-        }
-        shared->close_now();
+        // serve() runs on the accept loop, so the refusal must not wait
+        // on the peer (TcpTransport skips the close drain here).
+        shared->refuse_busy();
     }
     return admitted;
 }
 
-void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) noexcept {
+ServingPool::SessionReport ServingPool::serve_one(net::Transport& transport,
+                                                  std::uint64_t index) noexcept {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.active;
@@ -127,10 +143,12 @@ void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) n
         report.ok = false;
         report.error = e.what();
         report.failure = classify_failure(e);
+        report.exception = std::current_exception();
     } catch (...) {
         report.ok = false;
         report.error = "unknown error";
         report.failure = FailureClass::kInternal;
+        report.exception = std::current_exception();
     }
     transport.close();  // noexcept; idempotent
     {
@@ -139,12 +157,7 @@ void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) n
         if (report.artifact_from_cache) ++stats_.artifact_skips;
         if (report.ok) {
             ++stats_.served;
-            stats_.traffic.offline_bytes += report.stats.offline_bytes;
-            stats_.traffic.online_bytes += report.stats.online_bytes;
-            stats_.traffic.preprocess_bytes += report.stats.preprocess_bytes;
-            stats_.traffic.offline_flights += report.stats.offline_flights;
-            stats_.traffic.online_flights += report.stats.online_flights;
-            stats_.traffic.preprocess_flights += report.stats.preprocess_flights;
+            add_traffic(stats_.traffic, report.stats);
             stats_.traffic.wall_seconds += report.stats.wall_seconds;
             stats_.traffic.offline_wait_seconds += report.stats.offline_wait_seconds;
             stats_.traffic.online_wait_seconds += report.stats.online_wait_seconds;
@@ -154,12 +167,7 @@ void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) n
             ++stats_.failed_by_class[static_cast<int>(report.failure)];
         }
     }
-    if (on_session_) {
-        // Serialized on its own mutex so one slow observer (stdout) never
-        // blocks a stats() reader.
-        const std::lock_guard<std::mutex> lock(report_mutex_);
-        on_session_(report);
-    }
+    return report;
 }
 
 void ServingPool::drain() { queue_.drain(); }
@@ -175,6 +183,72 @@ ServingPool::Stats ServingPool::stats() const {
         snapshot.tail_requests = batcher_->requests();
     }
     return snapshot;
+}
+
+BatchResult run_batch(const CompiledModel& model, const SessionConfig& config,
+                      std::span<const Tensor> inputs) {
+    require(!inputs.empty(), "run_batch on an empty batch");
+    // Validate the whole batch before any session starts: a member that
+    // died before the boundary would leave its siblings waiting out the
+    // tail window.
+    for (const Tensor& input : inputs) validate_client_input(model, input);
+    Stopwatch watch;
+
+    // Every client's digest lookup hits this one ClientModel, so no
+    // request compiles its own.
+    ArtifactCache cache;
+    cache.insert(digest_of(model.artifact().serialize()),
+                 std::make_shared<const ClientModel>(model.artifact(), model.num_threads()));
+
+    BatchResult batch;
+    batch.results.resize(inputs.size());
+    for (std::size_t begin = 0; begin < inputs.size(); begin += kMaxBatchGroup) {
+        const std::size_t count = std::min(kMaxBatchGroup, inputs.size() - begin);
+        std::vector<net::DuplexChannel> channels(count);  // outlive the pool's drain
+        std::vector<std::exception_ptr> server_errors(count), client_errors(count);
+        {
+            // One worker per request, so the tail group closes on its last
+            // arrival; the window only matters if a member never arrives.
+            ServingPool::Options options{.workers = static_cast<int>(count), .queue_capacity = 0};
+            options.tail_window_ms = options.recv_timeout_ms;
+            ServingPool pool(model, config, options, [&](const ServingPool::SessionReport& r) {
+                server_errors[r.index - 1] = r.exception;
+            });
+            std::vector<std::thread> clients;
+            clients.reserve(count);
+            for (std::size_t g = 0; g < count; ++g) {
+                // Always admitted: the pool has a worker per request.
+                (void)pool.serve(std::make_unique<net::InProcTransport>(channels[g], 0));
+                clients.emplace_back([&, g] {
+                    net::InProcTransport transport(channels[g], 1);
+                    try {
+                        const Stopwatch client_watch;
+                        const Bootstrap boot = fetch_artifact(transport, &cache);
+                        PiResult& res = batch.results[begin + g];
+                        res.logits = ClientSession(*boot.model, config).run(transport, inputs[begin + g]);
+                        res.stats = stats_from_transport(transport);
+                        res.stats.wall_seconds = client_watch.seconds();
+                        res.crypto_linear_ops = model.crypto_linear_ops();
+                        res.hidden_linear_ops = model.hidden_linear_ops();
+                    } catch (...) {
+                        client_errors[g] = std::current_exception();
+                        // In-process transports have no recv timeout: end the
+                        // connection so the server worker unblocks.
+                        transport.abort_connection();
+                    }
+                });
+            }
+            for (auto& c : clients) c.join();
+            pool.drain();
+        }
+        for (std::size_t g = 0; g < count; ++g)
+            if (auto error = net::root_cause(server_errors[g], client_errors[g]))
+                std::rethrow_exception(error);
+    }
+
+    for (const PiResult& res : batch.results) add_traffic(batch.aggregate, res.stats);
+    batch.aggregate.wall_seconds = watch.seconds();
+    return batch;
 }
 
 }  // namespace c2pi::pi

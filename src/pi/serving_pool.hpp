@@ -1,19 +1,23 @@
 #pragma once
 
 /// \file serving_pool.hpp
-/// Concurrent multi-client TCP serving over one shared const CompiledModel.
+/// Concurrent multi-session serving over one shared const CompiledModel:
+/// the library's one serving core.
 ///
 /// A `ServingPool` owns N worker threads (a `core::WorkQueue`), each
 /// serving whole sessions — artifact bootstrap, the crypto protocol, the
-/// clear tail, stats, close — against ONE `const CompiledModel`. The
-/// accept loop (examples/pi_server.cpp) stays single-threaded and does
-/// exactly one thing per connection: hand the handshaken transport to
-/// `serve()`. Admission is bounded: once `workers + queue_capacity`
-/// sessions are in flight, `serve()` refuses, answering the client with
-/// the typed wire-level BUSY frame (docs/PROTOCOL.md §5) instead of
-/// letting an unbounded backlog build; the client's pending receive
-/// raises `net::ServerBusy`, a "come back later" distinct from any
-/// protocol failure.
+/// clear tail, stats, close — against ONE `const CompiledModel`, over
+/// any `net::Transport`. Two front-ends feed it: the TCP accept loop
+/// (examples/pi_server.cpp) hands it each handshaken socket, and
+/// `pi::run_batch` (below) hands it one in-process transport per
+/// request, so both get the same admission, drain, tail batching and
+/// failure accounting. Admission is bounded: once `workers +
+/// queue_capacity` sessions are in flight, `serve()` refuses via
+/// `Transport::refuse_busy` instead of letting an unbounded backlog
+/// build. Over TCP that is the typed wire-level BUSY frame
+/// (docs/PROTOCOL.md §5): the client's pending receive raises
+/// `net::ServerBusy`, a "come back later" distinct from any protocol
+/// failure.
 ///
 /// Shutdown is a graceful drain: `drain()` refuses new sessions but runs
 /// every accepted one to completion before the workers join — an
@@ -28,12 +32,13 @@
 /// per-request logits are bit-identical to sequential serving
 /// (tests/serving_pool_test.cpp).
 
+#include <exception>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/thread_pool.hpp"
-#include "net/tcp.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/session.hpp"
 #include "pi/tail_batch.hpp"
@@ -46,8 +51,6 @@ namespace c2pi::pi {
 ///   - net::RecvTimeout            -> kTimeout (connected but silent)
 ///   - net::PeerClosed             -> kClientAbort (EOF/reset/clean goodbye
 ///                                    mid-protocol: the client went away)
-///   - TailBatcher::Aborted        -> kInternal (a *sibling* session
-///                                    poisoned the shared batch pass)
 ///   - any other c2pi::Error       -> kProtocolViolation (malformed frame,
 ///                                    codec failure, illegal message)
 ///   - any other std::exception    -> kInternal (our bug, not the peer's)
@@ -74,7 +77,7 @@ public:
         /// set, else hardware_concurrency; see core::resolve_thread_count).
         int workers = 0;
         /// Accepted-but-waiting connections beyond the busy workers;
-        /// one more and serve() rejects with the BUSY frame.
+        /// one more and serve() refuses (the BUSY frame over TCP).
         int queue_capacity = 8;
         /// > 0: coalesce the revealed clear tails of sessions reaching
         /// the boundary within this window into one batched plaintext
@@ -93,7 +96,8 @@ public:
     };
 
     /// Outcome of one served session, delivered to the `on_session`
-    /// callback (serialized — callbacks never run concurrently).
+    /// callback (serialized — callbacks never run concurrently) once the
+    /// session's admission slot is free again.
     struct SessionReport {
         std::uint64_t index = 0;  ///< 1-based accept order
         PiStats stats;            ///< per-phase traffic + session wall time
@@ -101,6 +105,8 @@ public:
         std::string error;  ///< failure reason when !ok
         /// Failure taxonomy bucket (meaningful only when !ok).
         FailureClass failure = FailureClass::kInternal;
+        /// The failure itself (null when ok), for callers that rethrow it.
+        std::exception_ptr exception;
         /// Bootstrap resume: the client already held this artifact and
         /// shipment was skipped (docs/PROTOCOL.md §3).
         bool artifact_from_cache = false;
@@ -110,7 +116,7 @@ public:
     struct Stats {
         std::uint64_t accepted = 0;  ///< transports handed to serve()
         std::uint64_t served = 0;    ///< sessions completed cleanly
-        std::uint64_t rejected = 0;  ///< refused with the BUSY frame
+        std::uint64_t rejected = 0;  ///< refused via refuse_busy
         std::uint64_t failed = 0;    ///< sessions that raised mid-protocol
         /// failed, broken down by FailureClass (index with
         /// static_cast<int>(FailureClass)); sums to `failed`.
@@ -137,12 +143,12 @@ public:
     ServingPool(const ServingPool&) = delete;
     ServingPool& operator=(const ServingPool&) = delete;
 
-    /// Hand one accepted (handshaken) connection to the pool. Returns
-    /// true if admitted — the session will run to completion on a worker
-    /// even if drain() is called right after. Returns false if the pool
-    /// is saturated or draining: the transport is sent the BUSY frame
-    /// and closed before returning.
-    [[nodiscard]] bool serve(std::unique_ptr<net::TcpTransport> transport);
+    /// Hand one connected server-side (party 0) transport to the pool.
+    /// Returns true if admitted — the session will run to completion on
+    /// a worker even if drain() is called right after. Returns false if
+    /// the pool is saturated or draining: the transport is refused
+    /// (refuse_busy) before returning.
+    [[nodiscard]] bool serve(std::unique_ptr<net::Transport> transport);
 
     /// Graceful shutdown: refuse new sessions, finish queued and
     /// in-flight ones, join the workers. Idempotent.
@@ -153,7 +159,9 @@ public:
     [[nodiscard]] int workers() const { return queue_.workers(); }
 
 private:
-    void serve_one(net::TcpTransport& transport, std::uint64_t index) noexcept;
+    /// Run one session and fold it into the stats; the caller delivers
+    /// the returned report to on_session_.
+    [[nodiscard]] SessionReport serve_one(net::Transport& transport, std::uint64_t index) noexcept;
 
     const CompiledModel* model_;
     const ServerSession session_;  ///< stateless; shared by all workers
@@ -169,5 +177,27 @@ private:
 
     core::WorkQueue queue_;  ///< last member: workers stop before the rest dies
 };
+
+struct BatchResult {
+    /// One per input, in order. A request's `stats.wall_seconds` is its
+    /// client's end-to-end latency *inside the batch*, which includes
+    /// waiting at the tail rendezvous for sibling requests — by design,
+    /// as a real batched server's per-request latency would. Use
+    /// `aggregate` for the joint cost of the batch.
+    std::vector<PiResult> results;
+    PiStats aggregate;  ///< summed traffic, joint wall time
+};
+
+/// Serve a batch of [1,C,H,W] inputs as in-process sessions on a
+/// `ServingPool`: one pool worker and one client thread per request, the
+/// client on the weightless path (artifact digest, then a ClientModel
+/// shared by the whole batch). Every input is validated before any
+/// session starts. For a crypto-clear boundary the clear tail runs as ONE
+/// batched plaintext pass per group of up to 64 requests; larger batches
+/// run as a sequence of such groups to bound the thread count. On
+/// failure the root cause is rethrown — the error of whichever side did
+/// not raise net::PeerClosed.
+[[nodiscard]] BatchResult run_batch(const CompiledModel& model, const SessionConfig& config,
+                                    std::span<const Tensor> inputs);
 
 }  // namespace c2pi::pi

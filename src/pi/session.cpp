@@ -424,9 +424,8 @@ PiStats stats_from_run(const net::RunResult& run) {
 
 PiResult run_private_inference(const CompiledModel& model, const SessionConfig& config,
                                const Tensor& input) {
-    // Validate before spawning the parties: a client-side failure mid-
-    // protocol poisons the peer, whose secondary error would mask the
-    // root cause (run_two_party rethrows the server's exception first).
+    // Validate before spawning the parties: a bad input fails here, before
+    // the server has done any protocol work.
     validate_client_input(model, input);
     const ServerSession server(model, config);
     const ClientSession client(model, config);

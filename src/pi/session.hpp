@@ -14,8 +14,10 @@
 /// number of concurrent runs.
 ///
 /// `run_private_inference` wires one server and one client through an
-/// in-process `net::DuplexChannel` (the classic two-thread setup). The
-/// session API itself is transport-agnostic: the same sessions run as
+/// in-process `net::DuplexChannel` (the classic two-thread setup); it is
+/// the single-pair reference the parity tests compare against. Batches
+/// and concurrent clients are served by `pi::ServingPool`
+/// (serving_pool.hpp). The session API itself is transport-agnostic: the same sessions run as
 /// two OS processes over `net::TcpTransport` (tcp.hpp), where the server
 /// ships its artifact at session start and the client runs **weightless**
 /// — see examples/pi_server.cpp and examples/pi_client.cpp.
@@ -73,8 +75,8 @@ class ServerSession {
 public:
     /// Clear-tail hook: receives the revealed boundary activation
     /// [1, ...boundary shape] and returns the logits [1, classes]. The
-    /// batched InferenceService uses this to coalesce many requests into
-    /// one plaintext pass.
+    /// serving pool's TailBatcher uses this to coalesce many requests
+    /// into one plaintext pass.
     using TailFn = std::function<Tensor(const Tensor&)>;
 
     ServerSession(const CompiledModel& model, SessionConfig config)
@@ -138,8 +140,7 @@ private:
 /// Validate a client input against a public artifact: a single [1,C,H,W]
 /// tensor matching the artifact's input shape. Throws c2pi::Error
 /// otherwise. Every serving entry point calls this up front so a bad
-/// input fails with its root cause instead of a poisoned-peer protocol
-/// error.
+/// input fails before any session starts.
 void validate_client_input(const ModelArtifact& artifact, const Tensor& input);
 inline void validate_client_input(const CompiledModel& model, const Tensor& input) {
     validate_client_input(model.artifact(), input);

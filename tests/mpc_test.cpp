@@ -269,8 +269,9 @@ TEST(HeConv, SharesSumToPlaintextConv) {
 
     auto [x0, x1] = make_shares(x, 17);
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, geo, w, bias, x0); },
-           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, geo, x1); });
+    const ConvLayerCache cache(fx.bfv, geo, w, bias);
+    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, cache.enc, x1); });
 
     auto want = ring_conv2d(geo, x, w);
     const std::int64_t pixels = geo.out_h() * geo.out_w();
@@ -294,8 +295,9 @@ TEST(HeConv, MultiGroupGeometry) {
 
     auto [x0, x1] = make_shares(x, 19);
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, geo, w, {}, x0); },
-           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, geo, x1); });
+    const ConvLayerCache cache(fx.bfv, geo, w, {});
+    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, cache.enc, x1); });
     const auto want = ring_conv2d(geo, x, w);
     for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(y0[i] + y1[i], want[i]) << i;
 }
@@ -313,8 +315,9 @@ TEST(HeMatVec, SharesSumToPlaintextMatVec) {
 
     auto [x0, x1] = make_shares(x, 21);
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_matvec_server(ctx, in, out, w, bias, x0); },
-           [&](PartyContext& ctx) { y1 = he_matvec_client(ctx, in, out, x1); });
+    const MatVecLayerCache cache(fx.bfv, in, out, w, bias);
+    fx.run([&](PartyContext& ctx) { y0 = he_matvec_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_matvec_client(ctx, cache.enc, x1); });
     auto want = ring_matvec(w, x, in, out);
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(y0[i] + y1[i], want[i] + bias[i]) << i;

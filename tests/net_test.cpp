@@ -1,6 +1,6 @@
 // Tests for the network simulation layer: byte/message/flight accounting,
 // phase attribution, typed send/recv helpers, the LAN/WAN latency model,
-// and error propagation (peer poisoning) in the two-party runtime.
+// and error propagation (connection teardown) in the two-party runtime.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +143,7 @@ TEST(Runtime, PropagatesServerException) {
 }
 
 TEST(Runtime, PropagatesClientExceptionWhileServerBlocks) {
-    // The poisoning mechanism must unblock the peer waiting on recv.
+    // The failing party's teardown must unblock the peer waiting on recv.
     DuplexChannel channel;
     EXPECT_THROW(run_two_party(
                      channel, [](Transport& t) { (void)t.recv_u64(); },

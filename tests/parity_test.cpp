@@ -139,11 +139,17 @@ TEST(MpcLinearParity, ConvCacheAndPoolPreserveTranscriptBytes) {
     const auto x0 = random_ring(static_cast<std::size_t>(geo.in_channels * geo.height * geo.width), 3);
     const auto x1 = random_ring(static_cast<std::size_t>(geo.in_channels * geo.height * geo.width), 4);
 
+    // Seed path: a serial cache and encoder built per call, the way the
+    // protocol ran before layer caches were compiled once per model.
     const he::BfvContext serial({.n = 1024, .limbs = 4, .noise_bound = 4});
     const auto seed_path = run_recorded(
         serial,
-        [&](mpc::PartyContext& ctx) { return mpc::he_conv_server(ctx, geo, w, bias, x0); },
-        [&](mpc::PartyContext& ctx) { return mpc::he_conv_client(ctx, geo, x1); });
+        [&](mpc::PartyContext& ctx) {
+            return mpc::he_conv_server(ctx, mpc::ConvLayerCache(ctx.bfv(), geo, w, bias), x0);
+        },
+        [&](mpc::PartyContext& ctx) {
+            return mpc::he_conv_client(ctx, he::ConvEncoder(ctx.bfv(), geo), x1);
+        });
     ASSERT_GT(seed_path.server_sent.size(), 0U);
 
     const mpc::ConvLayerCache serial_cache(serial, geo, w, bias);
@@ -173,8 +179,13 @@ TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
     const he::BfvContext serial({.n = 1024, .limbs = 4, .noise_bound = 4});
     const auto seed_path = run_recorded(
         serial,
-        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_server(ctx, in, out, w, bias, x0); },
-        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_client(ctx, in, out, x1); });
+        [&](mpc::PartyContext& ctx) {
+            return mpc::he_matvec_server(ctx, mpc::MatVecLayerCache(ctx.bfv(), in, out, w, bias),
+                                         x0);
+        },
+        [&](mpc::PartyContext& ctx) {
+            return mpc::he_matvec_client(ctx, he::MatVecEncoder(ctx.bfv(), in, out), x1);
+        });
 
     const core::ThreadPool pool(3);
     const he::BfvContext pooled({.n = 1024, .limbs = 4, .noise_bound = 4, .pool = &pool});

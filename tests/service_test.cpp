@@ -1,10 +1,10 @@
 // Serve-many API tests: one const CompiledModel shared by many concurrent
 // ServerSession/ClientSession pairs must produce bit-identical logits to
-// sequential runs; batched InferenceService output must match independent
-// run() calls request-for-request (same per-phase ChannelStats) while
-// executing the revealed clear tail as exactly ONE batched plaintext
-// pass; option validation must reject bad formats/ring degrees/boundaries
-// at the API boundary with typed c2pi::Error.
+// sequential runs; run_batch output must match independent
+// run_private_inference calls request-for-request (same per-phase
+// ChannelStats) while executing the revealed clear tail as exactly ONE
+// batched plaintext pass; option validation must reject bad formats/ring
+// degrees/boundaries/inputs at the API boundary with typed c2pi::Error.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
-#include "pi/service.hpp"
+#include "pi/serving_pool.hpp"
 
 namespace c2pi::pi {
 namespace {
@@ -110,20 +110,20 @@ TEST(CompiledModelSharing, FullPiConcurrentSessionsAlsoDeterministic) {
 
 // -------------------------------------------------------------- batching ---
 
-TEST(InferenceService, BatchMatchesIndependentRuns) {
+TEST(RunBatch, BatchMatchesIndependentRuns) {
     const nn::Sequential model = make_test_model();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
     const CompiledModel compiled(model, copts);
-    const InferenceService service(compiled, SessionConfig{.noise_lambda = 0.1F, .seed = 5});
+    const SessionConfig config{.noise_lambda = 0.1F, .seed = 5};
 
     constexpr std::size_t kBatch = 4;
     const auto inputs = make_inputs(kBatch);
-    const auto batch = service.run_batch(inputs);
+    const auto batch = run_batch(compiled, config, inputs);
     ASSERT_EQ(batch.results.size(), kBatch);
 
     for (std::size_t i = 0; i < kBatch; ++i) {
-        const PiResult individual = service.run(inputs[i]);
+        const PiResult individual = run_private_inference(compiled, config, inputs[i]);
         ASSERT_TRUE(batch.results[i].logits.same_shape(individual.logits)) << i;
         EXPECT_TRUE(batch.results[i].logits.allclose(individual.logits, 0.0F))
             << "request " << i << " differs between batched and independent serving";
@@ -142,23 +142,23 @@ TEST(InferenceService, BatchMatchesIndependentRuns) {
     EXPECT_EQ(batch.aggregate.total_bytes(), bytes);
 }
 
-TEST(InferenceService, BatchedClearTailIsASinglePass) {
+TEST(RunBatch, BatchedClearTailIsASinglePass) {
     const nn::Sequential model = make_test_model();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
     const CompiledModel compiled(model, copts);
-    const InferenceService service(compiled, SessionConfig{.seed = 5});
+    const SessionConfig config{.seed = 5};
 
     constexpr std::size_t kBatch = 5;
     const auto inputs = make_inputs(kBatch);
 
     const std::uint64_t passes_before = compiled.clear_tail_passes();
-    const auto batch = service.run_batch(inputs);
+    const auto batch = run_batch(compiled, config, inputs);
     EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U)
         << "a batch must coalesce all clear tails into one plaintext pass";
 
     // By contrast, independent serving pays one pass per request.
-    for (const auto& x : inputs) (void)service.run(x);
+    for (const auto& x : inputs) (void)run_private_inference(compiled, config, x);
     EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U + kBatch);
 
     for (const auto& r : batch.results) {
@@ -167,25 +167,39 @@ TEST(InferenceService, BatchedClearTailIsASinglePass) {
     }
 }
 
-TEST(InferenceService, FullPiBatchHasNoClearTail) {
+TEST(RunBatch, FullPiBatchHasNoClearTail) {
     const nn::Sequential model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
-    const InferenceService service(compiled, SessionConfig{});
+    const SessionConfig config{};
 
     const auto inputs = make_inputs(2);
-    const auto batch = service.run_batch(inputs);
+    const auto batch = run_batch(compiled, config, inputs);
     EXPECT_EQ(compiled.clear_tail_passes(), 0U);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const PiResult individual = service.run(inputs[i]);
+        const PiResult individual = run_private_inference(compiled, config, inputs[i]);
         EXPECT_TRUE(batch.results[i].logits.allclose(individual.logits, 0.0F)) << i;
     }
 }
 
-TEST(InferenceService, EmptyBatchIsRejected) {
+TEST(RunBatch, EmptyBatchIsRejected) {
     const nn::Sequential model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
-    const InferenceService service(compiled, SessionConfig{});
-    EXPECT_THROW((void)service.run_batch({}), Error);
+    EXPECT_THROW((void)run_batch(compiled, SessionConfig{}, {}), Error);
+}
+
+TEST(RunBatch, MisShapedInputFailsBeforeAnySessionStarts) {
+    // Every input is validated up front: one bad member must fail the
+    // batch with its root cause before any session reaches the tail,
+    // not leave its siblings waiting out the tail window.
+    const nn::Sequential model = make_test_model();
+    auto copts = small_compile_options();
+    copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
+    const CompiledModel compiled(model, copts);
+    auto inputs = make_inputs(3);
+    Rng rng(1);
+    inputs[1] = Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);
+    EXPECT_THROW((void)run_batch(compiled, SessionConfig{.seed = 5}, inputs), Error);
+    EXPECT_EQ(compiled.clear_tail_passes(), 0U);
 }
 
 // ------------------------------------------------------------ validation ---

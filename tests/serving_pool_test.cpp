@@ -4,13 +4,15 @@
 // drain() must finish every admitted session; aggregate stats must sum
 // the per-session accounting exactly; and the windowed TailBatcher must
 // coalesce the clear tails of concurrent clients into ONE plaintext pass
-// without changing any client's logits.
+// without changing any client's logits. In-process sessions go through
+// the same serve() path and the same failure accounting.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "net/channel.hpp"
 #include "net/tcp.hpp"
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
@@ -261,6 +263,44 @@ TEST(ServingPool, DrainFinishesInFlightSessionsAndRefusesNewOnes) {
     late_client.join();
     EXPECT_EQ(pool->stats().rejected, 1U);
     pool.reset();  // destructor drains again: idempotent
+}
+
+// ------------------------------------------------- in-process sessions ---
+
+TEST(ServingPool, InProcessSessionsGetTheSameFailureAccounting) {
+    const nn::Sequential model = make_test_model();
+    const CompiledModel compiled(model, boundary_compile_options());
+    const SessionConfig config{.seed = 13};
+    const auto inputs = make_inputs(1);
+    const Tensor reference = run_private_inference(compiled, config, inputs[0]).logits;
+
+    net::DuplexChannel dying_channel, served_channel;  // outlive the pool's drain
+    ServingPool pool(compiled, config, {.workers = 2, .queue_capacity = 0});
+    ASSERT_TRUE(pool.serve(std::make_unique<net::InProcTransport>(dying_channel, 0)));
+    ASSERT_TRUE(pool.serve(std::make_unique<net::InProcTransport>(served_channel, 0)));
+
+    // The first client vanishes mid-protocol: after the bootstrap and the
+    // dealer's setup message, while its server waits for the first layer.
+    std::thread dying_client([&] {
+        net::InProcTransport transport(dying_channel, 1);
+        (void)fetch_artifact(transport, nullptr);
+        (void)transport.recv_bytes();
+        transport.abort_connection();
+    });
+    net::InProcTransport transport(served_channel, 1);
+    const Bootstrap boot = fetch_artifact(transport, nullptr);
+    const Tensor logits = ClientSession(*boot.model, config).run(transport, inputs[0]);
+    dying_client.join();
+    pool.drain();
+
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.accepted, 2U);
+    EXPECT_EQ(stats.served, 1U);
+    EXPECT_EQ(stats.failed, 1U);
+    EXPECT_EQ(stats.failed_by_class[static_cast<int>(FailureClass::kClientAbort)], 1U);
+    ASSERT_TRUE(logits.same_shape(reference));
+    EXPECT_TRUE(logits.allclose(reference, 0.0F))
+        << "an in-process pool session diverged from run_private_inference";
 }
 
 // ----------------------------------------------------------- validation ---

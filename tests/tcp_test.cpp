@@ -139,7 +139,7 @@ TEST(TcpTransport, CleanShutdownThrowsTypedErrorOnPendingRecv) {
 TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
     // Legal (PROTOCOL.md §4): BUSY in place of the ARTIFACT frame is the
     // typed load-shedding signal.
-    (void)run_loopback([](TcpTransport& t) { t.send_busy(); },
+    (void)run_loopback([](TcpTransport& t) { t.refuse_busy(); },
                        [](TcpTransport& t) {
                            EXPECT_THROW((void)t.recv_artifact_bytes(), ServerBusy);
                        });
@@ -149,7 +149,7 @@ TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
     (void)run_loopback(
         [](TcpTransport& t) {
             t.send_bytes(std::vector<std::uint8_t>{1, 2, 3});
-            t.send_busy();
+            t.refuse_busy();
         },
         [](TcpTransport& t) {
             (void)t.recv_bytes();
@@ -174,7 +174,7 @@ TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
             } catch (const Error&) {  // expected: protocol violation
             }
         },
-        [](TcpTransport& t) { t.send_busy(); });
+        [](TcpTransport& t) { t.refuse_busy(); });
 }
 
 TEST(TcpTransport, RejectsNonC2piPeer) {
