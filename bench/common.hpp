@@ -13,7 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +27,10 @@
 #include "pi/c2pi.hpp"
 
 namespace c2pi::bench {
+
+/// Trained weights and DINA SSIM probes are memoized here, relative to
+/// the working directory (run the benches from the repo root).
+inline constexpr const char* kCacheDir = "bench_cache";
 
 struct Scale {
     // dataset / model
@@ -84,9 +88,9 @@ struct Scale {
     mcfg.width_multiplier = s.width_multiplier;
     nn::Graph model = nn::zoo::build(model_name, mcfg);
 
-    (void)std::system("mkdir -p /root/repo/bench_cache");
+    std::filesystem::create_directories(kCacheDir);
     char path[256];
-    std::snprintf(path, sizeof(path), "/root/repo/bench_cache/%s_%s_w%.3f_hw%lld_e%d.bin",
+    std::snprintf(path, sizeof(path), "%s/%s_%s_w%.3f_hw%lld_e%d.bin", kCacheDir,
                   model_name.c_str(), dataset_kind.c_str(), s.width_multiplier,
                   static_cast<long long>(s.image_size), s.train_epochs);
     if (!nn::try_load_parameters(model, path)) {
@@ -149,10 +153,9 @@ struct Scale {
                                              const nn::CutPoint& cut, float lambda) {
     const Scale s = scale();
     char path[320];
-    std::snprintf(path, sizeof(path),
-                  "/root/repo/bench_cache/ssim_%s_%s_cut%.1f_l%.2f_e%d_n%zu_v%zu.txt",
-                  model_name.c_str(), ds_kind.c_str(), cut.as_decimal(), lambda, s.attack_epochs,
-                  s.attack_train_samples, s.attack_eval_samples);
+    std::snprintf(path, sizeof(path), "%s/ssim_%s_%s_cut%.1f_l%.2f_e%d_n%zu_v%zu.txt",
+                  kCacheDir, model_name.c_str(), ds_kind.c_str(), cut.as_decimal(), lambda,
+                  s.attack_epochs, s.attack_train_samples, s.attack_eval_samples);
     if (FILE* f = std::fopen(path, "r"); f != nullptr) {
         double value = 0.0;
         const int got = std::fscanf(f, "%lf", &value);
@@ -163,7 +166,7 @@ struct Scale {
     const auto eval = attack::evaluate_idpa(*attack, model, cut, dataset,
                                             scale().attack_eval_samples, lambda,
                                             /*seed=*/101 + static_cast<std::size_t>(cut.linear_index));
-    (void)std::system("mkdir -p /root/repo/bench_cache");
+    std::filesystem::create_directories(kCacheDir);
     if (FILE* f = std::fopen(path, "w"); f != nullptr) {
         std::fprintf(f, "%.6f\n", eval.avg_ssim);
         std::fclose(f);
@@ -230,49 +233,6 @@ struct Scale {
     }
     return results;
 }
-
-/// Machine-readable bench output: when C2PI_BENCH_JSON=<path> is set,
-/// collected rows are written to <path> as {"bench": ..., "rows": [...]}
-/// at destruction. Each row is a flat name -> number map; the schema is
-/// deliberately tiny so CI can diff trajectories across PRs with jq.
-class BenchJsonWriter {
-public:
-    explicit BenchJsonWriter(std::string bench_name) : bench_(std::move(bench_name)) {
-        if (const char* p = std::getenv("C2PI_BENCH_JSON"); p != nullptr && p[0] != '\0')
-            path_ = p;
-    }
-
-    [[nodiscard]] bool enabled() const { return !path_.empty(); }
-
-    void add_row(const std::string& name,
-                 std::initializer_list<std::pair<const char*, double>> fields) {
-        if (!enabled()) return;
-        std::string row = "    {\"name\": \"" + name + "\"";
-        char buf[64];
-        for (const auto& [key, value] : fields) {
-            std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, value);
-            row += buf;
-        }
-        row += "}";
-        rows_.push_back(std::move(row));
-    }
-
-    ~BenchJsonWriter() {
-        if (!enabled() || rows_.empty()) return;
-        if (FILE* f = std::fopen(path_.c_str(), "w"); f != nullptr) {
-            std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench_.c_str());
-            for (std::size_t i = 0; i < rows_.size(); ++i)
-                std::fprintf(f, "%s%s\n", rows_[i].c_str(), i + 1 < rows_.size() ? "," : "");
-            std::fprintf(f, "  ]\n}\n");
-            std::fclose(f);
-        }
-    }
-
-private:
-    std::string bench_;
-    std::string path_;
-    std::vector<std::string> rows_;
-};
 
 inline void print_rule() {
     std::printf("--------------------------------------------------------------------------\n");

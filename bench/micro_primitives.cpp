@@ -433,8 +433,9 @@ BENCHMARK(BM_CrHash);
 // pipelined arm streams each response chunk as it is finished, so
 // transmission and the client's decrypt+decode overlap the server's
 // remaining compute. This is the wall-clock claim behind
-// Options::pipeline (scripts/bench_wan.sh measures the same effect
-// end-to-end with real tc/netem WAN profiles). Registered only outside
+// SessionConfig::pipeline (end to end, servebench's wan-c2pi-delphi
+// workload runs the real demo protocol through a WAN relay; set
+// C2PI_PIPELINE=0 to compare). Registered only outside
 // C2PI_FAST: a sleep-calibrated benchmark has no business in the CI
 // perf trajectory or its baseline.
 

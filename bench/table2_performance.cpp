@@ -12,7 +12,7 @@ namespace {
 using namespace c2pi;
 
 struct Measurement {
-    double lan = 0.0, wan = 0.0, comm_mb = 0.0, wall = 0.0;
+    double lan = 0.0, wan = 0.0, comm_mb = 0.0;
 };
 
 Measurement measure(const pi::CompiledModel& compiled, const pi::SessionConfig& config,
@@ -22,7 +22,6 @@ Measurement measure(const pi::CompiledModel& compiled, const pi::SessionConfig& 
     m.lan = res.stats.latency_seconds(net::NetworkModel::lan());
     m.wan = res.stats.latency_seconds(net::NetworkModel::wan());
     m.comm_mb = static_cast<double>(res.stats.total_bytes()) / (1024.0 * 1024.0);
-    m.wall = res.stats.wall_seconds;
     return m;
 }
 
@@ -38,12 +37,6 @@ void print_row(const char* config, const Measurement& m, const Measurement& base
 int main() {
     bench::print_banner(
         "Table II — full PI vs C2PI: latency (LAN/WAN) and communication", "Table II");
-    // Per-op timing rows (model/backend/config) land in C2PI_BENCH_JSON
-    // when set, so the perf trajectory is machine-diffable per PR. Note
-    // the schema is BenchJsonWriter's {bench, rows} shape — NOT the
-    // google-benchmark native format micro_primitives writes to the same
-    // env var; point each binary at its own path.
-    bench::BenchJsonWriter json("table2_performance");
     auto dataset = bench::make_dataset("CIFAR-10");
     const Tensor input = dataset.test()[0].image.reshaped(
         {1, 3, bench::scale().image_size, bench::scale().image_size});
@@ -75,45 +68,10 @@ int main() {
             const pi::SessionConfig full_cfg{.backend = backend};
             const pi::SessionConfig cut_cfg{.backend = backend, .noise_lambda = 0.1F};
 
-            const auto record = [&](const char* config, const Measurement& m,
-                                    const Measurement& base) {
-                print_row(config, m, base);
-                json.add_row(model_name + "/" + pi::backend_name(backend) + "/" + config,
-                             {{"lan_s", m.lan},
-                              {"wan_s", m.wan},
-                              {"comm_mb", m.comm_mb},
-                              {"wall_s", m.wall}});
-            };
             const Measurement base = measure(full, full_cfg, input);
-            record("full PI", base, base);
-            record("C2PI (s=0.2)", measure(c2pi02, cut_cfg, input), base);
-            record("C2PI (s=0.3)", measure(c2pi03, cut_cfg, input), base);
-        }
-    }
-    // Serving-only residual-model row (BM_ResNetServerOnline): resnet9
-    // through the Graph IR with the first residual block — skip-add
-    // included — inside the crypto prefix. Untrained weights and a fixed
-    // boundary: traffic and latency are weight-independent, and the
-    // boundary-search machinery is already covered by the rows above.
-    {
-        std::printf("\n=== resnet9 (serving only) ===\n");
-        nn::ModelConfig mcfg;
-        mcfg.input_hw = bench::scale().image_size;
-        mcfg.width_multiplier = bench::scale().width_multiplier;
-        const nn::Graph resnet = nn::make_resnet9(mcfg);
-        const Shape chw{3, bench::scale().image_size, bench::scale().image_size};
-        const pi::CompiledModel compiled(
-            resnet, {.input_chw = chw,
-                     .boundary = nn::CutPoint{.linear_index = 5, .after_relu = false},
-                     .he_ring_degree = bench::scale().he_ring_degree});
-        for (const pi::PiBackend backend : {pi::PiBackend::kDelphi, pi::PiBackend::kCheetah}) {
-            const pi::SessionConfig cfg{.backend = backend};
-            const Measurement m = measure(compiled, cfg, input);
-            print_row("BM_ResNetServerOnline", m, m);
-            json.add_row(std::string("resnet9/") + pi::backend_name(backend) +
-                             "/BM_ResNetServerOnline",
-                         {{"lan_s", m.lan}, {"wan_s", m.wan}, {"comm_mb", m.comm_mb},
-                          {"wall_s", m.wall}});
+            print_row("full PI", base, base);
+            print_row("C2PI (s=0.2)", measure(c2pi02, cut_cfg, input), base);
+            print_row("C2PI (s=0.3)", measure(c2pi03, cut_cfg, input), base);
         }
     }
 

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                          "usage: pi_client [--host H] [--port P]\n"
                          "                 [--model demo|alexnet|vgg16|vgg19|resnet9|resnet18]\n"
                          "                 [--backend delphi|cheetah] [--nonlinear gc|ot|fss]\n"
-                         "                 [--noise L] [--no-pipeline] [--input-seed N]\n"
+                         "                 [--noise L] [--input-seed N]\n"
                          "                 [--check --with-model]\n"
                          "                 [--retries N] [--retry-backoff MS] [--runs N]\n"
                          "                 [--pin HEXDIGEST] [--stall-ms MS]\n");

@@ -8,14 +8,13 @@
 // net::ServerBusy, not a protocol error), and shutdown drains — every
 // admitted session finishes. Each session starts by shipping the
 // serialized public pi::ModelArtifact (plan, boundary, formats — no
-// weights), so the peer pi_client runs weightless. With --tail-window,
-// sessions reaching the crypto-clear boundary within the window share
-// ONE batched plaintext tail pass across clients.
+// weights), so the peer pi_client runs weightless. Every session runs
+// its own plaintext clear tail once its crypto layers reveal the
+// boundary activation.
 //
 //   ./build/examples/pi_server [--port P] [--clients N] [--full-pi]
 //                              [--backend delphi|cheetah] [--noise L]
-//                              [--pool W] [--queue Q] [--tail-window MS]
-//                              [--handshake-timeout MS]
+//                              [--pool W] [--queue Q] [--handshake-timeout MS]
 //
 // Every session failure is classified at the worker boundary
 // (client-abort / protocol-violation / timeout / internal, see
@@ -67,10 +66,6 @@ void print_pool_stats(const c2pi::pi::ServingPool::Stats& s) {
         std::printf("  artifact: %llu digest-cache skips (resumed bootstraps)\n",
                     static_cast<unsigned long long>(s.artifact_skips));
     c2pi::demo::print_stats(s.traffic);
-    if (s.tail_batches > 0)
-        std::printf("  clear tail: %llu batched passes over %llu requests\n",
-                    static_cast<unsigned long long>(s.tail_batches),
-                    static_cast<unsigned long long>(s.tail_requests));
 }
 
 }  // namespace
@@ -85,8 +80,8 @@ int main(int argc, char** argv) {
                          "usage: pi_server [--port P] [--clients N] [--full-pi]\n"
                          "                 [--model demo|alexnet|vgg16|vgg19|resnet9|resnet18]\n"
                          "                 [--backend delphi|cheetah] [--nonlinear gc|ot|fss]\n"
-                         "                 [--noise L] [--no-pipeline] [--pool W] [--queue Q]\n"
-                         "                 [--tail-window MS] [--handshake-timeout MS]\n");
+                         "                 [--noise L] [--pool W] [--queue Q]\n"
+                         "                 [--handshake-timeout MS]\n");
             return 2;
         }
     }
@@ -109,7 +104,6 @@ int main(int argc, char** argv) {
         compiled, opts.session,
         {.workers = opts.pool,
          .queue_capacity = opts.queue,
-         .tail_window_ms = opts.tail_window_ms,
          .handshake_timeout_ms = opts.handshake_timeout_ms},
         [](const pi::ServingPool::SessionReport& r) {
             if (r.ok) {
@@ -127,8 +121,7 @@ int main(int argc, char** argv) {
     std::printf("model artifact: %zu bytes   nonlinear backend: %s\n",
                 compiled.artifact().serialize().size(),
                 pi::nonlinear_name(pi::resolve_nonlinear(opts.session)));
-    std::printf("serving pool: %d workers, queue %d, tail window %d ms\n", pool.workers(),
-                opts.queue, opts.tail_window_ms);
+    std::printf("serving pool: %d workers, queue %d\n", pool.workers(), opts.queue);
 
     net::TcpListener listener(opts.port, opts.host);
     std::printf("listening on %s:%u\n", opts.host.c_str(), listener.port());

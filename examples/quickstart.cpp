@@ -5,8 +5,8 @@
 //     boundary (here with a small budget; see bench/ for paper scale).
 //  3. The boundary is compiled ONCE into an immutable artifact
 //     (pi::CompiledModel) and served many times: one single inference,
-//     then a batch of four whose revealed clear-layer tails the server
-//     executes as one batched plaintext pass (pi::run_batch).
+//     then a batch of four served concurrently (pi::run_batch), each
+//     request running its own revealed clear-layer tail on the server.
 //
 // Build & run:  ./build/examples/quickstart
 
@@ -83,7 +83,7 @@ int main() {
                 result.stats.latency_seconds(net::NetworkModel::lan()),
                 result.stats.latency_seconds(net::NetworkModel::wan()));
 
-    // ---- 4. batched serving: crypto per request, ONE clear-tail pass -----
+    // ---- 4. batched serving: concurrent sessions, one per request --------
     std::vector<Tensor> requests;
     for (std::size_t i = 1; i <= 4; ++i)
         requests.push_back(dataset.test()[i].image.reshaped({1, 3, 16, 16}));
@@ -99,7 +99,7 @@ int main() {
                     static_cast<long long>(dataset.test()[i + 1].label));
     }
     std::printf("  clear-tail passes on the server so far: %llu "
-                "(the single inference + ONE for the whole batch)\n",
+                "(the single inference + one per batch request)\n",
                 static_cast<unsigned long long>(system.compiled().clear_tail_passes()));
     std::printf("  batch traffic: %.2f MB   joint wall time: %.3f s\n",
                 static_cast<double>(batch.aggregate.total_bytes()) / (1024.0 * 1024.0),

@@ -104,7 +104,6 @@ struct RemoteOptions {
     int clients = 1;              // server: connections to serve (0 = forever)
     int pool = 0;                 // server: concurrent sessions (0 = auto)
     int queue = 8;                // server: waiting connections before BUSY
-    int tail_window_ms = 0;       // server: cross-client clear-tail batching
     int handshake_timeout_ms = 5'000;  // server: bootstrap-laggard deadline
     std::uint64_t input_seed = 100;  // client: RNG seed for the demo input
     bool check = false;              // client: verify against plaintext
@@ -158,8 +157,6 @@ inline bool parse_remote_flag(int argc, char** argv, int& i, RemoteOptions& o) {
             std::fprintf(stderr, "unknown nonlinear backend '%s' (gc|ot|fss)\n", b.c_str());
             std::exit(2);
         }
-    } else if (flag == "--no-pipeline") {
-        o.session.pipeline = false;  // synchronous sends + batched HE responses
     } else if (flag == "--noise") {
         o.session.noise_lambda = std::strtof(value(), nullptr);
     } else if (flag == "--clients") {
@@ -168,8 +165,6 @@ inline bool parse_remote_flag(int argc, char** argv, int& i, RemoteOptions& o) {
         o.pool = static_cast<int>(std::strtol(value(), nullptr, 10));
     } else if (flag == "--queue") {
         o.queue = static_cast<int>(std::strtol(value(), nullptr, 10));
-    } else if (flag == "--tail-window") {
-        o.tail_window_ms = static_cast<int>(std::strtol(value(), nullptr, 10));
     } else if (flag == "--handshake-timeout") {
         o.handshake_timeout_ms = static_cast<int>(std::strtol(value(), nullptr, 10));
     } else if (flag == "--retries") {

@@ -6,7 +6,7 @@
 /// the model ONCE for that boundary into an immutable `CompiledModel`,
 /// and (c) serves any number of private inferences against it — single
 /// requests through `run_private_inference`, batches through
-/// `run_batch` (per-request crypto layers, batched clear tail). This
+/// `run_batch` (concurrent in-process sessions, one per request). This
 /// header wires boundary search and the serve-many PI API into one
 /// object; see docs/API.md for the underlying compile-once flow.
 
@@ -45,8 +45,8 @@ public:
         return run_private_inference(compiled_, config_, input);
     }
 
-    /// Batched private inference: crypto layers per request, the revealed
-    /// clear tail as one batched plaintext pass on the server; see
+    /// Batched private inference: each request runs as its own session
+    /// (crypto layers, then its clear tail) on one ServingPool; see
     /// run_batch.
     [[nodiscard]] BatchResult infer_batch(std::span<const Tensor> inputs) const {
         return run_batch(compiled_, config_, inputs);

@@ -162,7 +162,7 @@ public:
     [[nodiscard]] Tensor run_clear_tail(const Tensor& boundary_activations) const;
 
     /// Number of clear-tail passes executed so far (diagnostic; lets tests
-    /// assert that a batched service runs exactly one pass per batch).
+    /// assert that every served request runs exactly one pass).
     [[nodiscard]] std::uint64_t clear_tail_passes() const {
         return tail_passes_.load(std::memory_order_relaxed);
     }

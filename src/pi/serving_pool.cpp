@@ -19,14 +19,12 @@ int validated_workers(const ServingPool::Options& o) {
     require(o.recv_timeout_ms >= 0, "ServingPool recv_timeout_ms must be >= 0");
     require(o.handshake_timeout_ms >= 0,
             "ServingPool handshake_timeout_ms must be >= 0 (0 disables the short deadline)");
-    require(o.tail_window_ms >= 0, "ServingPool tail_window_ms must be >= 0");
     return core::resolve_thread_count(o.workers);
 }
 
 /// Largest group run_batch serves on one pool: every request of a group
 /// is in flight at once (a pool worker and a client thread each), so
-/// this caps the thread count while a batch of any size still runs at
-/// most ceil(n / 64) clear-tail passes.
+/// this caps the thread count for a batch of any size.
 constexpr std::size_t kMaxBatchGroup = 64;
 
 void add_traffic(PiStats& total, const PiStats& s) {
@@ -61,20 +59,12 @@ FailureClass classify_failure(const std::exception& e) {
 
 ServingPool::ServingPool(const CompiledModel& model, SessionConfig config, Options options,
                          std::function<void(const SessionReport&)> on_session)
-    : model_(&model),
-      session_(model, config),
+    : session_(model, config),
       artifact_bytes_(model.artifact().serialize()),
       artifact_digest_(digest_of(artifact_bytes_)),
       options_(options),
       on_session_(std::move(on_session)),
-      queue_(validated_workers(options), options.queue_capacity) {
-    if (options.tail_window_ms > 0 && !model.full_pi()) {
-        // At most `workers` sessions can be at the boundary at once, so a
-        // group of that size closes with zero extra wait.
-        batcher_ = std::make_unique<TailBatcher>(model, static_cast<std::size_t>(workers()),
-                                                 std::chrono::milliseconds(options.tail_window_ms));
-    }
-}
+      queue_(validated_workers(options), options.queue_capacity) {}
 
 ServingPool::~ServingPool() { drain(); }
 
@@ -130,12 +120,7 @@ ServingPool::SessionReport ServingPool::serve_one(net::Transport& transport,
             transport.arm_handshake_deadline(options_.handshake_timeout_ms);
         report.artifact_from_cache =
             ship_artifact(transport, artifact_bytes_, artifact_digest_);
-        if (batcher_ != nullptr) {
-            session_.run(transport,
-                         [this](const Tensor& act) { return batcher_->run(act); });
-        } else {
-            session_.run(transport);
-        }
+        session_.run(transport);
         report.stats = stats_from_transport(transport);
         report.stats.wall_seconds = watch.seconds();
         report.ok = true;
@@ -173,24 +158,15 @@ ServingPool::SessionReport ServingPool::serve_one(net::Transport& transport,
 void ServingPool::drain() { queue_.drain(); }
 
 ServingPool::Stats ServingPool::stats() const {
-    Stats snapshot;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        snapshot = stats_;
-    }
-    if (batcher_ != nullptr) {
-        snapshot.tail_batches = batcher_->batches();
-        snapshot.tail_requests = batcher_->requests();
-    }
-    return snapshot;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
 }
 
 BatchResult run_batch(const CompiledModel& model, const SessionConfig& config,
                       std::span<const Tensor> inputs) {
     require(!inputs.empty(), "run_batch on an empty batch");
-    // Validate the whole batch before any session starts: a member that
-    // died before the boundary would leave its siblings waiting out the
-    // tail window.
+    // Validate the whole batch before any session starts, so a bad input
+    // fails the call up front instead of mid-protocol.
     for (const Tensor& input : inputs) validate_client_input(model, input);
     Stopwatch watch;
 
@@ -207,10 +183,8 @@ BatchResult run_batch(const CompiledModel& model, const SessionConfig& config,
         std::vector<net::DuplexChannel> channels(count);  // outlive the pool's drain
         std::vector<std::exception_ptr> server_errors(count), client_errors(count);
         {
-            // One worker per request, so the tail group closes on its last
-            // arrival; the window only matters if a member never arrives.
-            ServingPool::Options options{.workers = static_cast<int>(count), .queue_capacity = 0};
-            options.tail_window_ms = options.recv_timeout_ms;
+            const ServingPool::Options options{.workers = static_cast<int>(count),
+                                               .queue_capacity = 0};
             ServingPool pool(model, config, options, [&](const ServingPool::SessionReport& r) {
                 server_errors[r.index - 1] = r.exception;
             });

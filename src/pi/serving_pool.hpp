@@ -10,8 +10,8 @@
 /// any `net::Transport`. Two front-ends feed it: the TCP accept loop
 /// (examples/pi_server.cpp) hands it each handshaken socket, and
 /// `pi::run_batch` (below) hands it one in-process transport per
-/// request, so both get the same admission, drain, tail batching and
-/// failure accounting. Admission is bounded: once `workers +
+/// request, so both get the same admission, drain and failure
+/// accounting. Admission is bounded: once `workers +
 /// queue_capacity` sessions are in flight, `serve()` refuses via
 /// `Transport::refuse_busy` instead of letting an unbounded backlog
 /// build. Over TCP that is the typed wire-level BUSY frame
@@ -22,15 +22,6 @@
 /// Shutdown is a graceful drain: `drain()` refuses new sessions but runs
 /// every accepted one to completion before the workers join — an
 /// in-flight client never loses its inference.
-///
-/// The paper's crypto-clear boundary pays off *across clients* here:
-/// with `tail_window_ms > 0`, sessions whose crypto phase completes
-/// within the window deposit their revealed boundary activations into a
-/// shared windowed `TailBatcher`, and one batched plaintext pass serves
-/// the whole group (`CompiledModel::run_clear_tail` once, not once per
-/// client). Batching changes where the tail executes, never its result:
-/// per-request logits are bit-identical to sequential serving
-/// (tests/serving_pool_test.cpp).
 
 #include <exception>
 #include <functional>
@@ -41,7 +32,6 @@
 #include "core/thread_pool.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/session.hpp"
-#include "pi/tail_batch.hpp"
 
 namespace c2pi::pi {
 
@@ -79,11 +69,6 @@ public:
         /// Accepted-but-waiting connections beyond the busy workers;
         /// one more and serve() refuses (the BUSY frame over TCP).
         int queue_capacity = 8;
-        /// > 0: coalesce the revealed clear tails of sessions reaching
-        /// the boundary within this window into one batched plaintext
-        /// pass (crypto-clear models only; ignored for full PI). 0: every
-        /// session runs its own tail pass immediately.
-        int tail_window_ms = 0;
         /// Protocol recv timeout applied to every served transport, so a
         /// stalled client cannot hold a worker forever.
         int recv_timeout_ms = 120'000;
@@ -128,8 +113,6 @@ public:
         /// Summed per-phase traffic of served sessions; wall_seconds is
         /// the sum of per-session wall times (busy-seconds, not uptime).
         PiStats traffic;
-        std::uint64_t tail_batches = 0;   ///< batched clear-tail passes
-        std::uint64_t tail_requests = 0;  ///< sessions served by those passes
     };
 
     /// The pool serializes the model's artifact once; every session
@@ -163,13 +146,11 @@ private:
     /// the returned report to on_session_.
     [[nodiscard]] SessionReport serve_one(net::Transport& transport, std::uint64_t index) noexcept;
 
-    const CompiledModel* model_;
     const ServerSession session_;  ///< stateless; shared by all workers
     const std::vector<std::uint8_t> artifact_bytes_;
     const ArtifactDigest artifact_digest_;  ///< SHA-256 of artifact_bytes_
     const Options options_;
     const std::function<void(const SessionReport&)> on_session_;
-    std::unique_ptr<TailBatcher> batcher_;  ///< null unless windowed batching is on
 
     mutable std::mutex mutex_;  ///< guards the Stats fields below
     Stats stats_;
@@ -180,10 +161,9 @@ private:
 
 struct BatchResult {
     /// One per input, in order. A request's `stats.wall_seconds` is its
-    /// client's end-to-end latency *inside the batch*, which includes
-    /// waiting at the tail rendezvous for sibling requests — by design,
-    /// as a real batched server's per-request latency would. Use
-    /// `aggregate` for the joint cost of the batch.
+    /// client's end-to-end latency inside the batch, where it shares the
+    /// CPU with its sibling requests. Use `aggregate` for the joint cost
+    /// of the batch.
     std::vector<PiResult> results;
     PiStats aggregate;  ///< summed traffic, joint wall time
 };
@@ -192,11 +172,10 @@ struct BatchResult {
 /// `ServingPool`: one pool worker and one client thread per request, the
 /// client on the weightless path (artifact digest, then a ClientModel
 /// shared by the whole batch). Every input is validated before any
-/// session starts. For a crypto-clear boundary the clear tail runs as ONE
-/// batched plaintext pass per group of up to 64 requests; larger batches
-/// run as a sequence of such groups to bound the thread count. On
-/// failure the root cause is rethrown — the error of whichever side did
-/// not raise net::PeerClosed.
+/// session starts. Each request runs its own clear tail, exactly as a
+/// single inference does. Requests run in groups of up to 64 to bound
+/// the thread count. On failure the root cause is rethrown — the error
+/// of whichever side did not raise net::PeerClosed.
 [[nodiscard]] BatchResult run_batch(const CompiledModel& model, const SessionConfig& config,
                                     std::span<const Tensor> inputs);
 

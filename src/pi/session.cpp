@@ -277,10 +277,6 @@ crypto::Block128 session_seed(const SessionConfig& config) {
 }  // namespace
 
 void ServerSession::run(net::Transport& transport) const {
-    run(transport, [this](const Tensor& boundary) { return model_->run_clear_tail(boundary); });
-}
-
-void ServerSession::run(net::Transport& transport, const TailFn& tail) const {
     const CompiledModel& cm = *model_;
     mpc::PartyContext ctx(transport, cm.fmt(), cm.bfv(), session_seed(config_));
     ctx.set_gc_cache(&cm.gc_cache());
@@ -320,7 +316,7 @@ void ServerSession::run(net::Transport& transport, const TailFn& tail) const {
     Tensor act(cm.batched_boundary_shape(1));
     for (std::int64_t i = 0; i < act.numel(); ++i)
         act[i] = static_cast<float>(cm.fmt().decode(boundary[static_cast<std::size_t>(i)]));
-    const Tensor out = tail(act);
+    const Tensor out = cm.run_clear_tail(act);
     // Ship the plaintext logits to the client (floats).
     std::vector<Ring> packed(static_cast<std::size_t>(out.numel()));
     for (std::int64_t i = 0; i < out.numel(); ++i)

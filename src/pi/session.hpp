@@ -17,12 +17,12 @@
 /// in-process `net::DuplexChannel` (the classic two-thread setup); it is
 /// the single-pair reference the parity tests compare against. Batches
 /// and concurrent clients are served by `pi::ServingPool`
-/// (serving_pool.hpp). The session API itself is transport-agnostic: the same sessions run as
-/// two OS processes over `net::TcpTransport` (tcp.hpp), where the server
+/// (serving_pool.hpp). The session API itself is transport-agnostic: the
+/// same sessions run as two OS processes over `net::TcpTransport`
+/// (tcp.hpp), where the server
 /// ships its artifact at session start and the client runs **weightless**
 /// — see examples/pi_server.cpp and examples/pi_client.cpp.
 
-#include <functional>
 #include <optional>
 
 #include "mpc/nonlinear.hpp"
@@ -54,7 +54,8 @@ struct SessionConfig {
     /// transport sends, chunked HE response streaming, and cross-layer
     /// mask prefetch. Purely local scheduling — wire bytes, frame order,
     /// and logits are bit-identical either way, so the two parties need
-    /// NOT agree on this field. Default on; --no-pipeline in the demos.
+    /// NOT agree on this field. Default on; C2PI_PIPELINE=0 forces it off
+    /// (see pipeline_default).
     bool pipeline = pipeline_default();
 };
 
@@ -73,20 +74,13 @@ struct NonlinearMismatch final : Error {
 /// The model owner's side of one private inference.
 class ServerSession {
 public:
-    /// Clear-tail hook: receives the revealed boundary activation
-    /// [1, ...boundary shape] and returns the logits [1, classes]. The
-    /// serving pool's TailBatcher uses this to coalesce many requests
-    /// into one plaintext pass.
-    using TailFn = std::function<Tensor(const Tensor&)>;
-
     ServerSession(const CompiledModel& model, SessionConfig config)
         : model_(&model), config_(config) {}
 
-    /// Serve one inference over the transport; the clear tail (if any)
-    /// runs inline as a single-request batch.
+    /// Serve one inference over the transport. The clear tail (if any)
+    /// runs inline on this request's revealed [1, ...] boundary
+    /// activation.
     void run(net::Transport& transport) const;
-    /// Serve one inference, delegating the clear tail to `tail`.
-    void run(net::Transport& transport, const TailFn& tail) const;
 
     [[nodiscard]] const CompiledModel& model() const { return *model_; }
     [[nodiscard]] const SessionConfig& config() const { return config_; }

@@ -2,9 +2,9 @@
 // ServerSession/ClientSession pairs must produce bit-identical logits to
 // sequential runs; run_batch output must match independent
 // run_private_inference calls request-for-request (same per-phase
-// ChannelStats) while executing the revealed clear tail as exactly ONE
-// batched plaintext pass; option validation must reject bad formats/ring
-// degrees/boundaries/inputs at the API boundary with typed c2pi::Error.
+// ChannelStats), with every request running its own clear-tail pass;
+// option validation must reject bad formats/ring degrees/boundaries/
+// inputs at the API boundary with typed c2pi::Error.
 
 #include <gtest/gtest.h>
 
@@ -128,8 +128,8 @@ TEST(RunBatch, BatchMatchesIndependentRuns) {
         EXPECT_TRUE(batch.results[i].logits.allclose(individual.logits, 0.0F))
             << "request " << i << " differs between batched and independent serving";
         // Per-phase traffic accounting must be request-for-request
-        // identical: batching changes where the tail executes, not the
-        // protocol transcript.
+        // identical: serving a request inside a batch does not change
+        // its protocol transcript.
         EXPECT_EQ(batch.results[i].stats.offline_bytes, individual.stats.offline_bytes) << i;
         EXPECT_EQ(batch.results[i].stats.online_bytes, individual.stats.online_bytes) << i;
         EXPECT_EQ(batch.results[i].stats.offline_flights, individual.stats.offline_flights) << i;
@@ -142,7 +142,7 @@ TEST(RunBatch, BatchMatchesIndependentRuns) {
     EXPECT_EQ(batch.aggregate.total_bytes(), bytes);
 }
 
-TEST(RunBatch, BatchedClearTailIsASinglePass) {
+TEST(RunBatch, EveryRequestRunsItsOwnClearTail) {
     const nn::Sequential model = make_test_model();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
@@ -154,12 +154,8 @@ TEST(RunBatch, BatchedClearTailIsASinglePass) {
 
     const std::uint64_t passes_before = compiled.clear_tail_passes();
     const auto batch = run_batch(compiled, config, inputs);
-    EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U)
-        << "a batch must coalesce all clear tails into one plaintext pass";
-
-    // By contrast, independent serving pays one pass per request.
-    for (const auto& x : inputs) (void)run_private_inference(compiled, config, x);
-    EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U + kBatch);
+    EXPECT_EQ(compiled.clear_tail_passes() - passes_before, kBatch)
+        << "a batch runs one clear-tail pass per request, like independent serving";
 
     for (const auto& r : batch.results) {
         EXPECT_EQ(r.crypto_linear_ops, 2);
@@ -189,8 +185,7 @@ TEST(RunBatch, EmptyBatchIsRejected) {
 
 TEST(RunBatch, MisShapedInputFailsBeforeAnySessionStarts) {
     // Every input is validated up front: one bad member must fail the
-    // batch with its root cause before any session reaches the tail,
-    // not leave its siblings waiting out the tail window.
+    // batch with its root cause before any session starts.
     const nn::Sequential model = make_test_model();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
