@@ -18,11 +18,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "crypto/garbling.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
 #include "fss/compare.hpp"
 #include "he/bfv.hpp"
+#include "he/kernels.hpp"
 #include "mpc/linear.hpp"
 #include "mpc/nonlinear.hpp"
 #include "net/runtime.hpp"
@@ -369,6 +371,8 @@ void BM_ReluOnlineFss(benchmark::State& state) {
 }
 BENCHMARK(BM_ReluOnlineFss)->Unit(benchmark::kMillisecond);
 
+// n full 128-bit random OTs: outputs are hashed on access, so every
+// output of every OT is read.
 void BM_IknpRandomOt(benchmark::State& state) {
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     const auto setup = crypto::dealer_base_ots(crypto::Block128{2, 3});
@@ -380,11 +384,16 @@ void BM_IknpRandomOt(benchmark::State& state) {
             channel,
             [&](net::Transport& t) {
                 crypto::IknpSender ext(setup.sender);
-                benchmark::DoNotOptimize(ext.extend(t, n));
+                const auto rot = ext.extend(t, n);
+                for (std::size_t j = 0; j < n; ++j) {
+                    benchmark::DoNotOptimize(rot.m0(j));
+                    benchmark::DoNotOptimize(rot.m1(j));
+                }
             },
             [&](net::Transport& t) {
                 crypto::IknpReceiver ext(setup.receiver);
-                benchmark::DoNotOptimize(ext.extend(t, choices));
+                const auto rot = ext.extend(t, choices);
+                for (std::size_t j = 0; j < n; ++j) benchmark::DoNotOptimize(rot.m(j));
             });
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -566,6 +575,11 @@ int main(int argc, char** argv) {
     }
     int args_count = static_cast<int>(args.size());
     benchmark::Initialize(&args_count, args.data());
+    // What a baseline was measured on beyond google-benchmark's own
+    // context: scripts/bench_diff.py warns when these differ.
+    benchmark::AddCustomContext("he_kernels", c2pi::he::kernels::active().name);
+    benchmark::AddCustomContext("num_threads",
+                              std::to_string(c2pi::core::resolve_thread_count(0)));
     if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -29,6 +29,10 @@ Caveat (by construction): a change that slows EVERY bench uniformly is
 indistinguishable from a slower machine and will not trip the gate; the
 printed machine factor is the place to notice it.
 
+Each file's HE kernel tier, worker-thread count and CPU count (from its
+context block) are printed first; a mismatch only warns, since the
+normalization above already absorbs a uniformly different machine.
+
 Usage:
     scripts/bench_diff.py BASELINE.json FRESH.json [--warn 0.10] [--fail 0.30]
 
@@ -50,11 +54,19 @@ HOT_LOOP_MARKERS = ("ServerOnline",)
 TIME_UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+# Context keys that describe what a run measured on; micro_primitives
+# records the first two, google-benchmark the last.
+MACHINE_KEYS = ("he_kernels", "num_threads", "num_cpus")
+
+
 def load_benchmarks(path):
-    """name -> real_time in ns. Aggregate entries (mean/median/stddev)
-    are skipped; C2PI_FAST runs emit one plain entry per bench."""
+    """(name -> real_time in ns, machine context). Aggregate entries
+    (mean/median/stddev) are skipped; C2PI_FAST runs emit one plain entry
+    per bench."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    context = doc.get("context", {})
+    machine = {key: str(context.get(key, "unknown")) for key in MACHINE_KEYS}
     result = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
@@ -65,7 +77,7 @@ def load_benchmarks(path):
         result[bench["name"]] = float(bench["real_time"]) * TIME_UNITS[unit]
     if not result:
         raise SystemExit(f"{path}: no benchmark entries")
-    return result
+    return result, machine
 
 
 def main():
@@ -80,8 +92,15 @@ def main():
                              "slowdown (default 0.30)")
     args = parser.parse_args()
 
-    baseline = load_benchmarks(args.baseline)
-    fresh = load_benchmarks(args.fresh)
+    baseline, baseline_machine = load_benchmarks(args.baseline)
+    fresh, fresh_machine = load_benchmarks(args.fresh)
+
+    warnings = []
+    for key in MACHINE_KEYS:
+        print(f"{key}: baseline {baseline_machine[key]}, fresh {fresh_machine[key]}")
+        if baseline_machine[key] != fresh_machine[key]:
+            warnings.append(f"{key} differs (baseline {baseline_machine[key]}, fresh "
+                            f"{fresh_machine[key]}): per-bench deltas mix code and machine")
 
     shared = sorted(set(baseline) & set(fresh))
     if not shared:
@@ -94,7 +113,7 @@ def main():
               "different machine, build type, or a global shift; deltas below are "
               "relative to that factor", file=sys.stderr)
 
-    failures, warnings, improvements = [], [], []
+    failures, improvements = [], []
     width = max(len(name) for name in sorted(set(baseline) | set(fresh)))
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  {'delta':>8}")
     for name in sorted(set(baseline) | set(fresh)):

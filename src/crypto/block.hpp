@@ -16,6 +16,9 @@ struct Block128 {
     friend Block128 operator^(const Block128& a, const Block128& b) {
         return {a.lo ^ b.lo, a.hi ^ b.hi};
     }
+    friend Block128 operator&(const Block128& a, const Block128& b) {
+        return {a.lo & b.lo, a.hi & b.hi};
+    }
     Block128& operator^=(const Block128& b) {
         lo ^= b.lo;
         hi ^= b.hi;

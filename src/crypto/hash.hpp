@@ -44,8 +44,9 @@ private:
 /// Tweakable correlation-robust hash: H(tweak, x) -> 128-bit block.
 [[nodiscard]] Block128 cr_hash(std::uint64_t tweak, const Block128& x);
 
-/// Hash a block down to a single u64 (used for OT message masking of ring
-/// elements).
+/// The low word of cr_hash at half the cost: cr_hash_u64(t, x) ==
+/// cr_hash(t, x).lo. Used where a caller keeps only 64 bits or fewer of
+/// an OT output (ring-element masks, correlated OT, bit triples).
 [[nodiscard]] std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x);
 
 }  // namespace c2pi::crypto

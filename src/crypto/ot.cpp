@@ -1,29 +1,64 @@
 #include "crypto/ot.hpp"
 
-#include "crypto/hash.hpp"
+#include <algorithm>
+#include <bit>
 
 namespace c2pi::crypto {
 
+static_assert(std::endian::native == std::endian::little,
+              "IKNP rows are packed bytes read back as little-endian words");
+
 namespace {
 
-/// Expand one base-OT key into a row of the IKNP matrix (packed bits).
-std::vector<std::uint8_t> expand_row(const Block128& key, std::uint64_t round, std::size_t nbytes) {
+/// The IKNP matrix: 128 rows of packed choice-bit columns, one flat
+/// buffer, each row padded to whole 64-bit words (bit j of a row is bit
+/// j % 64 of word j / 64). Padding bits stay zero.
+struct BitRows {
+    explicit BitRows(std::size_t n) : words((n + 63) / 64), data(kOtSecurityParam * words) {}
+
+    [[nodiscard]] std::span<std::uint8_t> row_bytes(std::size_t i, std::size_t nbytes) {
+        return {reinterpret_cast<std::uint8_t*>(data.data() + i * words), nbytes};
+    }
+
+    std::size_t words;
+    std::vector<std::uint64_t> data;
+};
+
+/// Fill the first nbytes of `row` with the PRG expansion of one base-OT key.
+void expand_row(const Block128& key, std::uint64_t round, std::span<std::uint8_t> row) {
     ChaCha20Prg prg(key, /*nonce=*/round + 1);
-    std::vector<std::uint8_t> row(nbytes);
     prg.fill_bytes(row);
-    return row;
 }
 
-/// Extract column j of a 128-row packed bit matrix as a block.
-Block128 column_block(const std::vector<std::vector<std::uint8_t>>& rows, std::size_t j) {
-    Block128 col{};
-    const std::size_t byte = j / 8;
-    const unsigned shift = static_cast<unsigned>(j % 8);
-    for (std::size_t i = 0; i < 64; ++i)
-        col.lo |= static_cast<std::uint64_t>((rows[i][byte] >> shift) & 1U) << i;
-    for (std::size_t i = 0; i < 64; ++i)
-        col.hi |= static_cast<std::uint64_t>((rows[64 + i][byte] >> shift) & 1U) << i;
-    return col;
+/// In-place 64x64 bit-matrix transpose: afterwards bit c of a[r] is what
+/// bit r of a[c] was. Six rounds of block swaps, halving the block size.
+void transpose64(std::uint64_t a[64]) {
+    std::uint64_t mask = 0x00000000FFFFFFFFULL;
+    for (unsigned width = 32; width != 0; width >>= 1, mask ^= mask << width) {
+        for (unsigned r = 0; r < 64; r = ((r | width) + 1) & ~width) {
+            const std::uint64_t swap = ((a[r] >> width) ^ a[r | width]) & mask;
+            a[r | width] ^= swap;
+            a[r] ^= swap << width;
+        }
+    }
+}
+
+/// Column j of the 128-row matrix as one block per OT: bit i of column j
+/// is bit j of row i (rows 0..63 in .lo, 64..127 in .hi).
+std::vector<Block128> transpose_columns(const BitRows& rows, std::size_t n) {
+    std::vector<Block128> cols(n);
+    std::uint64_t lo[64], hi[64];
+    for (std::size_t w = 0; w < rows.words; ++w) {
+        for (std::size_t i = 0; i < 64; ++i) {
+            lo[i] = rows.data[i * rows.words + w];
+            hi[i] = rows.data[(64 + i) * rows.words + w];
+        }
+        transpose64(lo);
+        transpose64(hi);
+        const std::size_t count = std::min<std::size_t>(64, n - 64 * w);
+        for (std::size_t k = 0; k < count; ++k) cols[64 * w + k] = {lo[k], hi[k]};
+    }
+    return cols;
 }
 
 }  // namespace
@@ -52,19 +87,18 @@ RotReceiverOutput IknpReceiver::extend(net::Transport& t, std::span<const std::u
     for (std::size_t j = 0; j < n; ++j)
         if (choices[j]) r_packed[j / 8] |= static_cast<std::uint8_t>(1U << (j % 8));
 
-    std::vector<std::vector<std::uint8_t>> t_rows(kOtSecurityParam);
+    BitRows t_rows(n);
     std::vector<std::uint8_t> u_flat(kOtSecurityParam * nbytes);
     for (std::size_t i = 0; i < kOtSecurityParam; ++i) {
-        t_rows[i] = expand_row(setup_.keys0[i], round_, nbytes);
-        const auto v_row = expand_row(setup_.keys1[i], round_, nbytes);
-        for (std::size_t b = 0; b < nbytes; ++b)
-            u_flat[i * nbytes + b] = t_rows[i][b] ^ v_row[b] ^ r_packed[b];
+        const auto t_row = t_rows.row_bytes(i, nbytes);
+        const std::span<std::uint8_t> u_row(u_flat.data() + i * nbytes, nbytes);
+        expand_row(setup_.keys0[i], round_, t_row);
+        expand_row(setup_.keys1[i], round_, u_row);
+        for (std::size_t b = 0; b < nbytes; ++b) u_row[b] ^= t_row[b] ^ r_packed[b];
     }
     t.send_bytes(u_flat);
 
-    RotReceiverOutput out;
-    out.m.resize(n);
-    for (std::size_t j = 0; j < n; ++j) out.m[j] = cr_hash(tweak_ + j, column_block(t_rows, j));
+    RotReceiverOutput out{.t = transpose_columns(t_rows, n), .tweak = tweak_};
     ++round_;
     tweak_ += n;
     return out;
@@ -76,11 +110,12 @@ RotSenderOutput IknpSender::extend(net::Transport& t, std::size_t n) {
     const auto u_flat = t.recv_bytes();
     require(u_flat.size() == kOtSecurityParam * nbytes, "IKNP u-matrix size mismatch");
 
-    std::vector<std::vector<std::uint8_t>> q_rows(kOtSecurityParam);
+    BitRows q_rows(n);
     for (std::size_t i = 0; i < kOtSecurityParam; ++i) {
-        q_rows[i] = expand_row(setup_.keys[i], round_, nbytes);
+        const auto q_row = q_rows.row_bytes(i, nbytes);
+        expand_row(setup_.keys[i], round_, q_row);
         if (setup_.s[i]) {
-            for (std::size_t b = 0; b < nbytes; ++b) q_rows[i][b] ^= u_flat[i * nbytes + b];
+            for (std::size_t b = 0; b < nbytes; ++b) q_row[b] ^= u_flat[i * nbytes + b];
         }
     }
     Block128 s_block{};
@@ -89,14 +124,7 @@ RotSenderOutput IknpSender::extend(net::Transport& t, std::size_t n) {
     for (std::size_t i = 0; i < 64; ++i)
         s_block.hi |= static_cast<std::uint64_t>(setup_.s[64 + i]) << i;
 
-    RotSenderOutput out;
-    out.m0.resize(n);
-    out.m1.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const Block128 q = column_block(q_rows, j);
-        out.m0[j] = cr_hash(tweak_ + j, q);
-        out.m1[j] = cr_hash(tweak_ + j, q ^ s_block);
-    }
+    RotSenderOutput out{.q = transpose_columns(q_rows, n), .s = s_block, .tweak = tweak_};
     ++round_;
     tweak_ += n;
     return out;
@@ -111,8 +139,8 @@ void ot_send_blocks(net::Transport& t, IknpSender& ext, std::span<const Block128
     const auto rot = ext.extend(t, n);
     std::vector<std::uint8_t> payload(n * 32);
     for (std::size_t j = 0; j < n; ++j) {
-        (messages0[j] ^ rot.m0[j]).to_bytes(payload.data() + 32 * j);
-        (messages1[j] ^ rot.m1[j]).to_bytes(payload.data() + 32 * j + 16);
+        (messages0[j] ^ rot.m0(j)).to_bytes(payload.data() + 32 * j);
+        (messages1[j] ^ rot.m1(j)).to_bytes(payload.data() + 32 * j + 16);
     }
     t.send_bytes(payload);
 }
@@ -127,7 +155,7 @@ std::vector<Block128> ot_recv_blocks(net::Transport& t, IknpReceiver& ext,
     for (std::size_t j = 0; j < n; ++j) {
         const Block128 masked =
             Block128::from_bytes(payload.data() + 32 * j + (choices[j] ? 16 : 0));
-        out[j] = masked ^ rot.m[j];
+        out[j] = masked ^ rot.m(j);
     }
     return out;
 }
@@ -140,8 +168,8 @@ std::vector<Ring> cot_send(net::Transport& t, IknpSender& ext, std::span<const R
     std::vector<Ring> shares(n);
     std::vector<Ring> adjustments(n);
     for (std::size_t j = 0; j < n; ++j) {
-        const Ring t0 = rot.m0[j].lo;
-        const Ring t1 = rot.m1[j].lo;
+        const Ring t0 = rot.m0_u64(j);
+        const Ring t1 = rot.m1_u64(j);
         shares[j] = t0;
         adjustments[j] = t0 + deltas[j] - t1;
     }
@@ -156,7 +184,7 @@ std::vector<Ring> cot_recv(net::Transport& t, IknpReceiver& ext,
     require(adjustments.size() == choices.size(), "COT adjustment count mismatch");
     std::vector<Ring> out(choices.size());
     for (std::size_t j = 0; j < choices.size(); ++j) {
-        out[j] = rot.m[j].lo + (choices[j] ? adjustments[j] : 0);
+        out[j] = rot.m_u64(j) + (choices[j] ? adjustments[j] : 0);
     }
     return out;
 }
@@ -168,8 +196,8 @@ void ot_send_u64_pairs(net::Transport& t, IknpSender& ext, std::span<const Ring>
     const auto rot = ext.extend(t, n);
     std::vector<Ring> payload(2 * n);
     for (std::size_t j = 0; j < n; ++j) {
-        payload[2 * j] = messages0[j] ^ rot.m0[j].lo;
-        payload[2 * j + 1] = messages1[j] ^ rot.m1[j].lo;
+        payload[2 * j] = messages0[j] ^ rot.m0_u64(j);
+        payload[2 * j + 1] = messages1[j] ^ rot.m1_u64(j);
     }
     t.send_u64s(payload);
 }
@@ -181,19 +209,36 @@ std::vector<Ring> ot_recv_u64s(net::Transport& t, IknpReceiver& ext,
     const auto payload = t.recv_u64s();
     require(payload.size() == 2 * n, "OT payload size mismatch");
     std::vector<Ring> out(n);
-    for (std::size_t j = 0; j < n; ++j) out[j] = payload[2 * j + (choices[j] ? 1 : 0)] ^ rot.m[j].lo;
+    for (std::size_t j = 0; j < n; ++j) out[j] = payload[2 * j + (choices[j] ? 1 : 0)] ^ rot.m_u64(j);
     return out;
 }
 
 // ---------------------------------------------------------------- 1-of-N OT ---
 
 namespace {
+
 std::size_t log2_exact(std::size_t n) {
+    require(n >= 2 && n <= sizeof(Block128), "1-of-N OT requires 2 <= N <= 16");
     std::size_t bits = 0;
     while ((std::size_t{1} << bits) < n) ++bits;
     require((std::size_t{1} << bits) == n, "1-of-N OT requires power-of-two N");
     return bits;
 }
+
+/// Byte j of a block in wire order.
+std::uint8_t block_byte(const Block128& b, std::size_t j) {
+    return static_cast<std::uint8_t>((j < 8 ? b.lo >> (8 * j) : b.hi >> (8 * (j - 8))) & 0xFF);
+}
+
+/// Byte j of kOptionMask[i] is 0xFF iff bit i of j is 1: per option j, it
+/// selects which of random OT i's two outputs pads option j.
+constexpr Block128 kOptionMask[4] = {
+    {0xFF00FF00FF00FF00ULL, 0xFF00FF00FF00FF00ULL},
+    {0xFFFF0000FFFF0000ULL, 0xFFFF0000FFFF0000ULL},
+    {0xFFFFFFFF00000000ULL, 0xFFFFFFFF00000000ULL},
+    {0x0000000000000000ULL, 0xFFFFFFFFFFFFFFFFULL},
+};
+
 }  // namespace
 
 void ot_1_of_n_send(net::Transport& t, IknpSender& ext, std::span<const std::uint8_t> messages,
@@ -202,17 +247,17 @@ void ot_1_of_n_send(net::Transport& t, IknpSender& ext, std::span<const std::uin
     require(messages.size() == n_groups * n_options, "1-of-N message layout mismatch");
     const auto rot = ext.extend(t, n_groups * log_n);
 
+    // All N pads of a group at once: byte j of `pads` is pad_j (see ot.hpp).
     std::vector<std::uint8_t> payload(n_groups * n_options);
     for (std::size_t g = 0; g < n_groups; ++g) {
-        for (std::size_t j = 0; j < n_options; ++j) {
-            std::uint8_t pad = 0;
-            for (std::size_t i = 0; i < log_n; ++i) {
-                const bool bit = ((j >> i) & 1U) != 0;
-                const Block128& key = bit ? rot.m1[g * log_n + i] : rot.m0[g * log_n + i];
-                pad ^= static_cast<std::uint8_t>(cr_hash_u64(j * log_n + i, key));
-            }
-            payload[g * n_options + j] = messages[g * n_options + j] ^ pad;
+        Block128 pads{};
+        for (std::size_t i = 0; i < log_n; ++i) {
+            const Block128 k0 = rot.m0(g * log_n + i);
+            const Block128 k1 = rot.m1(g * log_n + i);
+            pads ^= k0 ^ ((k0 ^ k1) & kOptionMask[i]);
         }
+        for (std::size_t j = 0; j < n_options; ++j)
+            payload[g * n_options + j] = messages[g * n_options + j] ^ block_byte(pads, j);
     }
     t.send_bytes(payload);
 }
@@ -236,8 +281,7 @@ std::vector<std::uint8_t> ot_1_of_n_recv(net::Transport& t, IknpReceiver& ext,
     for (std::size_t g = 0; g < n_groups; ++g) {
         const std::size_t j = indices[g];
         std::uint8_t pad = 0;
-        for (std::size_t i = 0; i < log_n; ++i)
-            pad ^= static_cast<std::uint8_t>(cr_hash_u64(j * log_n + i, rot.m[g * log_n + i]));
+        for (std::size_t i = 0; i < log_n; ++i) pad ^= block_byte(rot.m(g * log_n + i), j);
         out[g] = payload[g * n_options + j] ^ pad;
     }
     return out;
@@ -255,8 +299,8 @@ std::vector<std::uint8_t> cross_term_send(net::Transport& t, IknpSender& ext,
     const auto rot = ext.extend(t, n);
     std::vector<std::uint8_t> shares(n), corrections((n + 7) / 8, 0);
     for (std::size_t j = 0; j < n; ++j) {
-        const std::uint8_t t0 = rot.m0[j].lo & 1U;
-        const std::uint8_t t1 = rot.m1[j].lo & 1U;
+        const std::uint8_t t0 = rot.m0_u64(j) & 1U;
+        const std::uint8_t t1 = rot.m1_u64(j) & 1U;
         shares[j] = t0;
         const std::uint8_t c = static_cast<std::uint8_t>(t0 ^ t1 ^ a[j]);
         corrections[j / 8] |= static_cast<std::uint8_t>(c << (j % 8));
@@ -273,7 +317,7 @@ std::vector<std::uint8_t> cross_term_recv(net::Transport& t, IknpReceiver& ext,
     require(corrections.size() == (n + 7) / 8, "cross-term correction size mismatch");
     std::vector<std::uint8_t> shares(n);
     for (std::size_t j = 0; j < n; ++j) {
-        const std::uint8_t tb = rot.m[j].lo & 1U;
+        const std::uint8_t tb = rot.m_u64(j) & 1U;
         const std::uint8_t c = (corrections[j / 8] >> (j % 8)) & 1U;
         shares[j] = b[j] ? static_cast<std::uint8_t>(tb ^ c) : tb;
     }

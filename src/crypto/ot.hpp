@@ -8,7 +8,8 @@
 ///    DESIGN.md §4, substitution 4). Their traffic is charged explicitly.
 ///  * IKNP OT extension (Ishai-Kilian-Nissim-Petrank 2003) is implemented
 ///    faithfully: PRG row expansion, u-matrix transmission, bit-matrix
-///    transpose, correlation-robust hashing of columns.
+///    transpose (64x64 word-wise), correlation-robust hashing of columns
+///    (on access, at the width the caller reads).
 ///  * Derived functionalities: chosen-message 1-of-2 OT (blocks / u64 /
 ///    bytes), additively correlated OT over Z_{2^64}, 1-of-N OT (the
 ///    millionaire protocol's leaves), and GF(2) Beaver "AND" triples.
@@ -25,6 +26,7 @@
 #include "core/fixed_point.hpp"
 #include "crypto/block.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/hash.hpp"
 #include "net/channel.hpp"
 
 namespace c2pi::crypto {
@@ -58,12 +60,33 @@ struct OtSetupPair {
 /// shared session seed.
 [[nodiscard]] OtSetupPair dealer_base_ots(const Block128& session_seed);
 
-/// Random OTs produced by one IKNP extension.
+/// Random OTs produced by one IKNP extension, held as the transposed
+/// IKNP columns. Outputs are hashed on access, so a caller pays only for
+/// the outputs it reads and at the width it reads them: m0(j) is
+/// cr_hash(tweak + j, q[j]), and m0_u64(j) == m0(j).lo at half the cost.
 struct RotSenderOutput {
-    std::vector<Block128> m0, m1;
+    std::vector<Block128> q;  ///< column j of the sender's matrix Q
+    Block128 s;               ///< base-OT choice bits: q[j] = t[j] ^ (b_j ? s : 0)
+    std::uint64_t tweak = 0;  ///< hash tweak of OT 0
+
+    [[nodiscard]] Block128 m0(std::size_t j) const { return cr_hash(tweak + j, q[j]); }
+    [[nodiscard]] Block128 m1(std::size_t j) const { return cr_hash(tweak + j, q[j] ^ s); }
+    [[nodiscard]] std::uint64_t m0_u64(std::size_t j) const {
+        return cr_hash_u64(tweak + j, q[j]);
+    }
+    [[nodiscard]] std::uint64_t m1_u64(std::size_t j) const {
+        return cr_hash_u64(tweak + j, q[j] ^ s);
+    }
 };
 struct RotReceiverOutput {
-    std::vector<Block128> m;  ///< m[j] = (b_j ? m1[j] : m0[j])
+    std::vector<Block128> t;  ///< column j of the receiver's matrix T
+    std::uint64_t tweak = 0;  ///< hash tweak of OT 0
+
+    /// m(j) = (b_j ? m1(j) : m0(j)) of the sender's output.
+    [[nodiscard]] Block128 m(std::size_t j) const { return cr_hash(tweak + j, t[j]); }
+    [[nodiscard]] std::uint64_t m_u64(std::size_t j) const {
+        return cr_hash_u64(tweak + j, t[j]);
+    }
 };
 
 /// IKNP extension sender endpoint (stateful: tweak counter advances so
@@ -72,7 +95,8 @@ class IknpSender {
 public:
     explicit IknpSender(OtSetupSender setup) : setup_(setup) {}
 
-    /// Receive the u-matrix for n OTs and output (m0, m1) pairs.
+    /// Receive the u-matrix for n OTs; the output hashes (m0, m1) pairs
+    /// on access.
     [[nodiscard]] RotSenderOutput extend(net::Transport& t, std::size_t n);
 
 private:
@@ -123,10 +147,21 @@ void ot_send_u64_pairs(net::Transport& t, IknpSender& ext, std::span<const Ring>
 
 // -- 1-of-N OT ------------------------------------------------------------------
 
-/// Sender holds n_ots groups of N byte-messages (N a power of two, laid
-/// out flat: group j occupies messages[j*N .. j*N+N)). The receiver picks
-/// one index per group. Built from log2(N) random OTs per group plus N
-/// masked bytes (DESIGN.md §6).
+/// Sender holds n_groups groups of N byte-messages (N a power of two,
+/// N <= 16, laid out flat: group g occupies messages[g*N .. g*N+N)). The
+/// receiver picks one index c per group. Comm: log2(N) random OTs plus N
+/// masked bytes per group.
+///
+/// Pads (Naor-Pinkas 1-of-N from log2(N) 1-of-2 OTs, with F_K(j) = K[j]):
+/// random OT i of the group gives the sender 16-byte strings K_{i,0},
+/// K_{i,1} and the receiver K_{i,c_i}, c_i = bit i of c. Option j is sent
+/// masked by pad_j = XOR_i K_{i, bit i of j}[j]; the receiver can form
+/// exactly pad_c. Security: for every j != c pick an i with bit i of j
+/// != c_i; pad_j contains byte j of K_{i, 1-c_i}, which the receiver
+/// never sees and which masks no other option (byte j belongs to option
+/// j alone). So the N-1 unchosen pads each carry a distinct uniform byte
+/// and are jointly uniform to the receiver, under the same
+/// correlation-robustness assumption on cr_hash that IKNP makes.
 void ot_1_of_n_send(net::Transport& t, IknpSender& ext, std::span<const std::uint8_t> messages,
                     std::size_t n_groups, std::size_t n_options);
 [[nodiscard]] std::vector<std::uint8_t> ot_1_of_n_recv(net::Transport& t, IknpReceiver& ext,

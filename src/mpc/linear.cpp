@@ -49,9 +49,15 @@ void send_ciphertext(PartyContext& ctx, const he::Ciphertext& ct) {
     require(payload.size() >= 24, "ciphertext payload too small");
     std::uint32_t header[2];
     std::memcpy(header, payload.data(), 8);
-    const int limbs = static_cast<int>(header[0]);
     const bool seeded = (header[1] & 1U) != 0;
     const std::size_t n = bfv.n();
+    // The limb count comes from the peer: bound it, and the payload size
+    // it implies, before allocating or copying anything.
+    require(header[0] >= 1 && header[0] <= static_cast<std::uint32_t>(bfv.fresh_limbs()),
+            "ciphertext limb count out of range");
+    const int limbs = static_cast<int>(header[0]);
+    require(payload.size() == 24 + static_cast<std::size_t>(limbs) * n * 8 * (seeded ? 1 : 2),
+            "ciphertext payload size mismatch");
 
     he::Ciphertext ct;
     ct.seed = crypto::Block128::from_bytes(payload.data() + 8);
@@ -74,7 +80,6 @@ void send_ciphertext(PartyContext& ctx, const he::Ciphertext& ct) {
             off += n * 8;
         }
     }
-    require(off == payload.size(), "ciphertext payload size mismatch");
     return ct;
 }
 

@@ -180,9 +180,43 @@ TEST(OtExtension, RandomOtCorrelation) {
         });
 
     for (std::size_t j = 0; j < n; ++j) {
-        const Block128& expected = choices[j] ? sender_out.m1[j] : sender_out.m0[j];
-        EXPECT_EQ(receiver_out.m[j], expected) << "OT " << j;
-        EXPECT_NE(sender_out.m0[j], sender_out.m1[j]);
+        const Block128 expected = choices[j] ? sender_out.m1(j) : sender_out.m0(j);
+        EXPECT_EQ(receiver_out.m(j), expected) << "OT " << j;
+        EXPECT_NE(sender_out.m0(j), sender_out.m1(j));
+        // The 64-bit outputs are the low words of the 128-bit ones, so
+        // narrowing a caller's hash never changes what it puts on the wire.
+        EXPECT_EQ(sender_out.m0_u64(j), sender_out.m0(j).lo) << "OT " << j;
+        EXPECT_EQ(sender_out.m1_u64(j), sender_out.m1(j).lo) << "OT " << j;
+        EXPECT_EQ(receiver_out.m_u64(j), receiver_out.m(j).lo) << "OT " << j;
+    }
+}
+
+TEST(OtExtension, ColumnCorrelationHoldsOnRaggedSizes) {
+    // q[j] = t[j] ^ (b_j ? s : 0) for every column, whatever n is: sizes
+    // straddle the 8-bit row bytes and the 64-bit transpose words, so a
+    // transpose or tail-padding bug breaks some column.
+    for (const std::size_t n : {1, 7, 63, 64, 65, 300, 4097}) {
+        OtFixture fx;
+        ChaCha20Prg choice_prg(Block128{n, 17});
+        const auto choices = choice_prg.next_bits(n);
+        RotSenderOutput sender_out;
+        RotReceiverOutput receiver_out;
+        net::run_two_party(
+            fx.channel,
+            [&](net::Transport& t) {
+                IknpSender ext(fx.setup.sender);
+                sender_out = ext.extend(t, n);
+            },
+            [&](net::Transport& t) {
+                IknpReceiver ext(fx.setup.receiver);
+                receiver_out = ext.extend(t, choices);
+            });
+        ASSERT_EQ(sender_out.q.size(), n);
+        ASSERT_EQ(receiver_out.t.size(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+            const Block128 want = receiver_out.t[j] ^ (choices[j] ? sender_out.s : Block128{});
+            ASSERT_EQ(sender_out.q[j], want) << "n " << n << " column " << j;
+        }
     }
 }
 
@@ -203,9 +237,9 @@ TEST(OtExtension, SequentialExtensionsDiffer) {
             r1 = ext.extend(t, choices);
             r2 = ext.extend(t, choices);
         });
-    EXPECT_EQ(r1.m[0], s1.m0[0]);
-    EXPECT_EQ(r2.m[0], s2.m0[0]);
-    EXPECT_NE(s1.m0[0], s2.m0[0]);  // tweak advanced
+    EXPECT_EQ(r1.m(0), s1.m0(0));
+    EXPECT_EQ(r2.m(0), s2.m0(0));
+    EXPECT_NE(s1.m0(0), s2.m0(0));  // tweak advanced
 }
 
 TEST(ChosenOt, TransfersSelectedBlocks) {
@@ -257,25 +291,37 @@ TEST(CorrelatedOt, AdditiveCorrelationHolds) {
 }
 
 TEST(OneOfNOt, DeliversChosenByte) {
+    const std::size_t groups = 50;
+    for (const std::size_t options : {2, 4, 8, 16}) {
+        OtFixture fx;
+        std::vector<std::uint8_t> messages(groups * options);
+        for (std::size_t i = 0; i < messages.size(); ++i)
+            messages[i] = static_cast<std::uint8_t>((i * 37) & 0xFF);
+        std::vector<std::uint16_t> indices(groups);
+        for (std::size_t g = 0; g < groups; ++g)
+            indices[g] = static_cast<std::uint16_t>((g * 7) % options);
+        std::vector<std::uint8_t> got;
+        net::run_two_party(
+            fx.channel,
+            [&](net::Transport& t) {
+                IknpSender ext(fx.setup.sender);
+                ot_1_of_n_send(t, ext, messages, groups, options);
+            },
+            [&](net::Transport& t) {
+                IknpReceiver ext(fx.setup.receiver);
+                got = ot_1_of_n_recv(t, ext, indices, options);
+            });
+        for (std::size_t g = 0; g < groups; ++g)
+            EXPECT_EQ(got[g], messages[g * options + indices[g]]) << "N " << options;
+    }
+
+    // A pad is one byte of a 16-byte random-OT output, so N <= 16; the
+    // check runs before any message is sent.
     OtFixture fx;
-    const std::size_t groups = 50, options = 16;
-    std::vector<std::uint8_t> messages(groups * options);
-    for (std::size_t i = 0; i < messages.size(); ++i)
-        messages[i] = static_cast<std::uint8_t>((i * 37) & 0xFF);
-    std::vector<std::uint16_t> indices(groups);
-    for (std::size_t g = 0; g < groups; ++g) indices[g] = static_cast<std::uint16_t>((g * 7) % options);
-    std::vector<std::uint8_t> got;
-    net::run_two_party(
-        fx.channel,
-        [&](net::Transport& t) {
-            IknpSender ext(fx.setup.sender);
-            ot_1_of_n_send(t, ext, messages, groups, options);
-        },
-        [&](net::Transport& t) {
-            IknpReceiver ext(fx.setup.receiver);
-            got = ot_1_of_n_recv(t, ext, indices, options);
-        });
-    for (std::size_t g = 0; g < groups; ++g) EXPECT_EQ(got[g], messages[g * options + indices[g]]);
+    const std::vector<std::uint8_t> messages(groups * 32, 0);
+    net::InProcTransport t(fx.channel, 0);
+    IknpSender ext(fx.setup.sender);
+    EXPECT_THROW(ot_1_of_n_send(t, ext, messages, groups, 32), Error);
 }
 
 TEST(BitTriples, SatisfyAndRelation) {

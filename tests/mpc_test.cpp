@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/rng.hpp"
 #include "mpc/linear.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -321,6 +323,27 @@ TEST(HeMatVec, SharesSumToPlaintextMatVec) {
     auto want = ring_matvec(w, x, in, out);
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(y0[i] + y1[i], want[i] + bias[i]) << i;
+}
+
+TEST(HeMatVec, HostileCiphertextHeaderRejectedBeforeAllocating) {
+    // A client that sends only a 24-byte ciphertext header. Its limb
+    // count must be checked against the BFV context, and the payload size
+    // it implies against the bytes that arrived, before anything is
+    // allocated or copied: a huge count must not become a multi-GiB
+    // allocation, and a small one with no body must not be read past.
+    const std::int64_t in = 8, out = 4;
+    const std::vector<Ring> w(static_cast<std::size_t>(in * out), 1);
+    const std::vector<Ring> x0(static_cast<std::size_t>(in), 0);
+    for (const std::uint32_t limbs : {0x7fffffffU, 1U}) {
+        MpcFixture fx;
+        const MatVecLayerCache cache(fx.bfv, in, out, w, {});
+        std::vector<std::uint8_t> header(24, 0);
+        std::memcpy(header.data(), &limbs, sizeof(limbs));
+        EXPECT_THROW(fx.run([&](PartyContext& ctx) { (void)he_matvec_server(ctx, cache, x0); },
+                            [&](PartyContext& ctx) { ctx.transport().send_bytes(header); }),
+                     Error)
+            << "limbs " << limbs;
+    }
 }
 
 TEST(Traffic, GcReluChargesOfflineTables) {

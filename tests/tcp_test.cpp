@@ -177,26 +177,45 @@ TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
         [](TcpTransport& t) { t.refuse_busy(); });
 }
 
+/// Connect to `port` with a raw socket, send `hello` as the handshake,
+/// then drain until the listener closes the connection.
+void raw_hello_peer(std::uint16_t port, const std::uint8_t (&hello)[kHandshakeSize]) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    (void)::send(fd, hello, sizeof(hello), MSG_NOSIGNAL);
+    char sink[64];
+    while (::recv(fd, sink, sizeof(sink), 0) > 0) {}
+    ::close(fd);
+}
+
 TEST(TcpTransport, RejectsNonC2piPeer) {
     // A peer speaking the wrong protocol (bad magic) is rejected during
     // the handshake, before any protocol data is exchanged.
     TcpListener listener(/*port=*/0);
     std::thread garbage_client([port = listener.port()] {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-        const char junk[8] = {'H', 'T', 'T', 'P', '/', '1', '.', '1'};
-        (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
-        char sink[64];
-        while (::recv(fd, sink, sizeof(sink), 0) > 0) {}
-        ::close(fd);
+        const std::uint8_t junk[kHandshakeSize] = {'H', 'T', 'T', 'P', '/', '1', '.', '1'};
+        raw_hello_peer(port, junk);
     });
     EXPECT_THROW((void)listener.accept(/*timeout_ms=*/10'000), Error);
     garbage_client.join();
+}
+
+TEST(TcpTransport, RejectsPeerAnnouncingAnotherVersion) {
+    // A well-formed hello from a version-1 peer: its 1-of-16 OT pads
+    // differ, so the session must fail at the handshake instead of
+    // computing wrong comparisons with frames of the right size.
+    TcpListener listener(/*port=*/0);
+    std::thread old_client([port = listener.port()] {
+        const std::uint8_t hello[kHandshakeSize] = {'C', '2', 'P', 'I', 1, 1, 0, 0};
+        raw_hello_peer(port, hello);
+    });
+    EXPECT_THROW((void)listener.accept(/*timeout_ms=*/10'000), Error);
+    old_client.join();
 }
 
 TEST(TcpTransport, ConnectTimesOutWhenNobodyListens) {
