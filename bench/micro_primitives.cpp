@@ -312,6 +312,67 @@ void BM_DcfEval(benchmark::State& state) {
 }
 BENCHMARK(BM_DcfEval);
 
+/// n DCFs with random points, payloads and root seeds (the dealer's draws).
+std::vector<fss::DcfGenInput> random_dcf_inputs(std::size_t n, crypto::ChaCha20Prg& prg) {
+    std::vector<fss::DcfGenInput> in(n);
+    for (auto& d : in) {
+        d.alpha = prg.next_u64();
+        d.beta = {1, prg.next_u64()};
+        d.root0 = prg.next_block();
+        d.root1 = prg.next_block();
+    }
+    return in;
+}
+
+void BM_DcfGenBatch(benchmark::State& state) {
+    // Dealer-side generation of n key pairs through the tiled
+    // level-synchronous walk; items = DCFs.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    crypto::ChaCha20Prg prg(crypto::Block128{25, 26});
+    const auto in = random_dcf_inputs(n, prg);
+    std::vector<fss::DcfKey> k0(n), k1(n);
+    std::vector<fss::DcfKey*> out0(n), out1(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out0[i] = &k0[i];
+        out1[i] = &k1[i];
+    }
+    for (auto _ : state) {
+        fss::dcf_gen_batch(in, out0, out1);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DcfGenBatch)->Arg(1024);
+
+void BM_DcfEvalBatch(benchmark::State& state) {
+    // One party's evaluation of n DCFs as one tiled batch, the way a
+    // kFss layer evaluates; items = DCFs, so the per-item time compares
+    // directly with BM_DcfEval's single-key walk.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    crypto::ChaCha20Prg prg(crypto::Block128{27, 28});
+    const auto in = random_dcf_inputs(n, prg);
+    std::vector<fss::DcfKey> k0(n), k1(n);
+    std::vector<fss::DcfKey*> out0(n), out1(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out0[i] = &k0[i];
+        out1[i] = &k1[i];
+    }
+    fss::dcf_gen_batch(in, out0, out1);
+    const std::vector<const fss::DcfKey*> keys(out0.begin(), out0.end());
+    std::vector<Ring> xs(n);
+    for (auto& x : xs) x = prg.next_u64();
+    std::vector<fss::DcfPayload> out(n);
+    for (auto _ : state) {
+        fss::dcf_eval_batch(keys, 0, xs, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DcfEvalBatch)->Arg(1024);
+
 /// Online-phase cost of one batched secure ReLU per backend. For kFss
 /// the DCF key material is generated ONCE outside the timed region and
 /// pushed into both parties' pools each iteration (a deployment ships it

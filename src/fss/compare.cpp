@@ -1,5 +1,7 @@
 #include "fss/compare.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -12,6 +14,9 @@ namespace {
 
 constexpr Ring kHalfRing = Ring{1} << 63;
 
+/// Comparisons per tile: two DCFs each, so one tile fills one DCF tile.
+constexpr std::size_t kRelusPerTile = kDcfTile / 2;
+
 void put_u64(std::uint8_t* out, std::uint64_t v) { std::memcpy(out, &v, 8); }
 std::uint64_t get_u64(const std::uint8_t* in) {
     std::uint64_t v;
@@ -19,73 +24,112 @@ std::uint64_t get_u64(const std::uint8_t* in) {
     return v;
 }
 
+/// Deal server[c] and client[c] for c < m <= kRelusPerTile: draw each
+/// comparison's randomness in gen_relu_material's order, then walk the
+/// tile's 2m trees together.
+void deal_tile(crypto::ChaCha20Prg& prg, ReluKeyShare* server, ReluKeyShare* client,
+               std::size_t m) {
+    std::array<DcfGenInput, kDcfTile> in;
+    std::array<DcfKey*, kDcfTile> k0{}, k1{};
+    for (std::size_t c = 0; c < m; ++c) {
+        const Ring r = prg.next_u64();
+        // Interval containment: 1{(z-r) mod 2^64 in [0, 2^63)} equals
+        // DCF_{r+2^63}(z) - DCF_r(z) + wrap, case-checked for both wrap
+        // values; the payload's second lane carries the same identity
+        // multiplied by r.
+        in[2 * c] = {.alpha = r, .beta = {1, r}, .root0 = prg.next_block(),
+                     .root1 = prg.next_block()};
+        in[2 * c + 1] = {.alpha = r + kHalfRing, .beta = {1, r}, .root0 = prg.next_block(),
+                         .root1 = prg.next_block()};
+        k0[2 * c] = &server[c].key_a;
+        k1[2 * c] = &client[c].key_a;
+        k0[2 * c + 1] = &server[c].key_b;
+        k1[2 * c + 1] = &client[c].key_b;
+
+        const bool wrap = r >= kHalfRing;
+        server[c].r_share = prg.next_u64();
+        client[c].r_share = r - server[c].r_share;
+        server[c].u_const = prg.next_u64();
+        client[c].u_const = (wrap ? Ring{1} : Ring{0}) - server[c].u_const;
+        server[c].v_const = prg.next_u64();
+        client[c].v_const = (wrap ? r : Ring{0}) - server[c].v_const;
+    }
+    dcf_gen_batch({in.data(), 2 * m}, {k0.data(), 2 * m}, {k1.data(), 2 * m});
+}
+
 }  // namespace
 
 ReluKeyPair gen_relu_material(crypto::ChaCha20Prg& prg) {
-    const Ring r = prg.next_u64();
-    const bool wrap = r >= kHalfRing;
-    const DcfPayload beta{1, r};
-    // Interval containment: 1{(z-r) mod 2^64 in [0, 2^63)} equals
-    // DCF_{r+2^63}(z) - DCF_r(z) + wrap, case-checked for both wrap
-    // values; the payload's second lane carries the same identity
-    // multiplied by r.
-    const DcfKeyPair pair_a = dcf_gen(r, beta, prg);
-    const DcfKeyPair pair_b = dcf_gen(r + kHalfRing, beta, prg);
-
     ReluKeyPair out;
-    out.server.key_a = pair_a.k0;
-    out.server.key_b = pair_b.k0;
-    out.client.key_a = pair_a.k1;
-    out.client.key_b = pair_b.k1;
-
-    out.server.r_share = prg.next_u64();
-    out.client.r_share = r - out.server.r_share;
-    const Ring wrap_u = wrap ? Ring{1} : Ring{0};
-    const Ring wrap_v = wrap ? r : Ring{0};
-    out.server.u_const = prg.next_u64();
-    out.client.u_const = wrap_u - out.server.u_const;
-    out.server.v_const = prg.next_u64();
-    out.client.v_const = wrap_v - out.server.v_const;
+    deal_tile(prg, &out.server, &out.client, 1);
     return out;
 }
 
+void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<const Ring> z,
+                     std::span<Ring> out) {
+    require(z.size() == keys.size() && out.size() == keys.size(),
+            "eval_relu_batch: key, point and output spans differ in size");
+    std::array<const DcfKey*, kDcfTile> dcf{};
+    std::array<Ring, kDcfTile> xs{};
+    std::array<DcfPayload, kDcfTile> at{};
+    for (std::size_t base = 0; base < keys.size(); base += kRelusPerTile) {
+        const std::size_t m = std::min(kRelusPerTile, keys.size() - base);
+        for (std::size_t c = 0; c < m; ++c) {
+            dcf[2 * c] = &keys[base + c].key_a;
+            dcf[2 * c + 1] = &keys[base + c].key_b;
+            xs[2 * c] = xs[2 * c + 1] = z[base + c];
+        }
+        dcf_eval_batch({dcf.data(), 2 * m}, party, {xs.data(), 2 * m}, {at.data(), 2 * m});
+        for (std::size_t c = 0; c < m; ++c) {
+            const ReluKeyShare& key = keys[base + c];
+            const DcfPayload d = at[2 * c + 1] - at[2 * c];  // K_b minus K_a
+            const Ring u = d.u + key.u_const;  // share of the drelu bit 1{y >= 0}
+            const Ring v = d.v + key.v_const;  // share of drelu * r
+            out[base + c] = z[base + c] * u - v;  // shares of drelu * (z - r) = ReLU(y)
+        }
+    }
+}
+
 Ring eval_relu(const ReluKeyShare& key, int party, Ring z) {
-    const DcfPayload d =
-        dcf_eval(key.key_b, party, z) - dcf_eval(key.key_a, party, z);
-    const Ring u = d.u + key.u_const;  // share of the drelu bit 1{y >= 0}
-    const Ring v = d.v + key.v_const;  // share of drelu * r
-    return z * u - v;                  // shares of drelu * (z - r) = ReLU(y)
+    Ring out = 0;
+    eval_relu_batch({&key, 1}, party, {&z, 1}, {&out, 1});
+    return out;
 }
 
 // ------------------------------------------------------------------- codec ---
 
+void ReluKeyShare::serialize_into(std::uint8_t* out) const {
+    put_u64(out, r_share);
+    put_u64(out + 8, u_const);
+    put_u64(out + 16, v_const);
+    key_a.serialize_into(out + 24);
+    key_b.serialize_into(out + 24 + DcfKey::kSerializedBytes);
+}
+
+ReluKeyShare ReluKeyShare::deserialize(const std::uint8_t* in) {
+    ReluKeyShare key;
+    key.r_share = get_u64(in);
+    key.u_const = get_u64(in + 8);
+    key.v_const = get_u64(in + 16);
+    key.key_a = DcfKey::deserialize(in + 24);
+    key.key_b = DcfKey::deserialize(in + 24 + DcfKey::kSerializedBytes);
+    return key;
+}
+
 std::vector<std::uint8_t> serialize_batch(const std::vector<ReluKeyShare>& keys) {
     std::vector<std::uint8_t> out(keys.size() * ReluKeyShare::kSerializedBytes);
-    std::uint8_t* p = out.data();
-    for (const auto& key : keys) {
-        put_u64(p, key.r_share);
-        put_u64(p + 8, key.u_const);
-        put_u64(p + 16, key.v_const);
-        key.key_a.serialize_into(p + 24);
-        key.key_b.serialize_into(p + 24 + DcfKey::kSerializedBytes);
-        p += ReluKeyShare::kSerializedBytes;
-    }
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i].serialize_into(out.data() + i * ReluKeyShare::kSerializedBytes);
     return out;
 }
 
 std::vector<ReluKeyShare> deserialize_batch(const std::vector<std::uint8_t>& bytes) {
     require(bytes.size() % ReluKeyShare::kSerializedBytes == 0,
             "fss key batch: payload is not a whole number of key records");
-    std::vector<ReluKeyShare> keys(bytes.size() / ReluKeyShare::kSerializedBytes);
-    const std::uint8_t* p = bytes.data();
-    for (auto& key : keys) {
-        key.r_share = get_u64(p);
-        key.u_const = get_u64(p + 8);
-        key.v_const = get_u64(p + 16);
-        key.key_a = DcfKey::deserialize(p + 24);
-        key.key_b = DcfKey::deserialize(p + 24 + DcfKey::kSerializedBytes);
-        p += ReluKeyShare::kSerializedBytes;
-    }
+    std::vector<ReluKeyShare> keys;
+    keys.reserve(bytes.size() / ReluKeyShare::kSerializedBytes);
+    for (std::size_t off = 0; off < bytes.size(); off += ReluKeyShare::kSerializedBytes)
+        keys.push_back(ReluKeyShare::deserialize(bytes.data() + off));
     return keys;
 }
 
@@ -94,25 +138,25 @@ std::vector<ReluKeyShare> deserialize_batch(const std::vector<std::uint8_t>& byt
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
                       std::size_t count) {
     if (count == 0) return;
-    std::vector<ReluKeyShare> mine;
-    std::vector<ReluKeyShare> theirs;
-    mine.reserve(count);
-    theirs.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        ReluKeyPair pair = gen_relu_material(prg);
-        mine.push_back(std::move(pair.server));
-        theirs.push_back(std::move(pair.client));
+    std::vector<ReluKeyShare> mine(count);
+    std::vector<std::uint8_t> payload(count * ReluKeyShare::kSerializedBytes);
+    std::vector<ReluKeyShare> theirs(std::min(count, kRelusPerTile));  // one tile's client halves
+    for (std::size_t base = 0; base < count; base += kRelusPerTile) {
+        const std::size_t m = std::min(kRelusPerTile, count - base);
+        deal_tile(prg, mine.data() + base, theirs.data(), m);
+        for (std::size_t c = 0; c < m; ++c)
+            theirs[c].serialize_into(payload.data() + (base + c) * ReluKeyShare::kSerializedBytes);
     }
-    transport.send_keys_bytes(serialize_batch(theirs));
+    transport.send_keys_bytes(payload);
     pool.push(std::move(mine));
 }
 
 void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count) {
     if (count == 0) return;
-    auto batch = deserialize_batch(transport.recv_keys_bytes());
-    require(batch.size() == count,
+    const std::vector<std::uint8_t> payload = transport.recv_keys_bytes();
+    require(payload.size() == count * ReluKeyShare::kSerializedBytes,
             "fss key batch: shipped key count does not match the plan-derived schedule");
-    pool.push(std::move(batch));
+    pool.push(deserialize_batch(payload));
 }
 
 }  // namespace c2pi::fss

@@ -6,7 +6,7 @@
 ///
 /// The kFss backend computes ReLU(y) on an additively shared y with one
 /// reconstruction round and local DCF evaluations. Per comparison the
-/// dealer (the server, DESIGN.md §4) samples a random mask r and builds:
+/// dealer samples a random mask r and builds:
 ///
 ///   - K_a  = DCF key pair for alpha = r            with payload (1, r)
 ///   - K_b  = DCF key pair for alpha = r + 2^63     with payload (1, r)
@@ -23,8 +23,15 @@
 /// so generation and shipment hoist into the preprocessing phase
 /// (key_pool.hpp buffers batches; the transport's KEYS frames carry the
 /// client halves).
+///
+/// The session's dealer is the server (docs/PROTOCOL.md §4): it deals
+/// both halves, so it knows every mask r and can read y from each
+/// opened z = y + r. Dealing and evaluation run through the DCF's tiled
+/// level-synchronous walk (dcf.hpp): a comparison's two DCFs share its
+/// tile, kDcfTile / 2 comparisons per tile.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fss/dcf.hpp"
@@ -46,6 +53,11 @@ struct ReluKeyShare {
     DcfKey key_b;       ///< DCF at alpha = r + 2^63
 
     static constexpr std::size_t kSerializedBytes = 8 + 8 + 8 + 2 * DcfKey::kSerializedBytes;
+
+    /// Record codec (r_share | u_const | v_const | key_a | key_b, all
+    /// little-endian), kSerializedBytes each way.
+    void serialize_into(std::uint8_t* out) const;
+    [[nodiscard]] static ReluKeyShare deserialize(const std::uint8_t* in);
 };
 
 /// Both parties' halves of one comparison's material.
@@ -55,17 +67,24 @@ struct ReluKeyPair {
 };
 
 /// Dealer-side generation of one comparison's material. `prg` supplies
-/// every random choice (mask, share splits, DCF root seeds).
+/// every random choice, drawn in this order: r, K_a's root seeds, K_b's
+/// root seeds, then the shares of r, wrap and wrap * r. dealer_replenish
+/// draws the same stream comparison by comparison, so its keys equal
+/// repeated calls of this function.
 [[nodiscard]] ReluKeyPair gen_relu_material(crypto::ChaCha20Prg& prg);
 
-/// Local online evaluation: given this party's key share and the
-/// reconstructed masked value z = y + r, return this party's additive
-/// share of ReLU(y).
+/// Local online evaluation of a batch: given this party's key shares and
+/// the reconstructed masked values z[i] = y[i] + r[i], out[i] is this
+/// party's additive share of ReLU(y[i]). K_a and K_b of every element
+/// go through one tiled DCF walk.
+void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<const Ring> z,
+                     std::span<Ring> out);
+
+/// eval_relu_batch for one element.
 [[nodiscard]] Ring eval_relu(const ReluKeyShare& key, int party, Ring z);
 
-/// Batch codec for KEYS-frame shipment. Layout: count * kSerializedBytes,
-/// keys back to back (r_share | u_const | v_const | key_a | key_b, all
-/// little-endian).
+/// Batch codec for KEYS-frame shipment: count * kSerializedBytes, records
+/// back to back.
 [[nodiscard]] std::vector<std::uint8_t> serialize_batch(const std::vector<ReluKeyShare>& keys);
 /// Rejects a payload whose size is not an exact multiple of the record
 /// size with a typed c2pi::Error (truncated shipment, corrupt frame).
@@ -73,14 +92,19 @@ struct ReluKeyPair {
 
 /// Dealer side of one replenish round: generate `count` comparisons,
 /// ship the client halves in one KEYS frame, push the server halves into
-/// `pool`. No-op when count == 0 (no frame on the wire, so the client
-/// must compute the same count and skip its recv symmetrically).
+/// `pool`. Client halves are encoded straight into the frame payload and
+/// server halves built in place in the batch the pool keeps, so dealing
+/// holds one copy of each half. No-op when count == 0 (no frame on the
+/// wire, so the client must compute the same count and skip its recv
+/// symmetrically).
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
                       std::size_t count);
 
-/// Client side: receive one KEYS frame and pool the shipped halves;
-/// throws if the batch size differs from the expected `count` (the two
-/// sides must agree on the plan-derived schedule). No-op when count == 0.
+/// Client side: receive one KEYS frame and pool the shipped halves.
+/// Throws c2pi::Error, pooling nothing, unless the payload is exactly
+/// `count` records (the two sides must agree on the plan-derived
+/// schedule); the size is checked before any record is decoded. No-op
+/// when count == 0.
 void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count);
 
 }  // namespace c2pi::fss

@@ -1,8 +1,10 @@
 #include "fss/dcf.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/error.hpp"
+#include "he/kernels.hpp"
 
 namespace c2pi::fss {
 
@@ -14,131 +16,187 @@ namespace {
 /// ChaCha20 stream even under equal keys.
 constexpr std::uint64_t kNodeNonce = 0xF55;
 
-/// One GGM node expansion: a single ChaCha20 block (64 bytes) from the
-/// node seed yields left/right child seeds and left/right payload
-/// converts. The control bits ride as the lsb of each child seed and are
-/// masked off, leaving 127-bit effective seeds.
-struct NodeExpansion {
-    crypto::Block128 seed_l, seed_r;
-    DcfPayload value_l, value_r;
-    bool t_l, t_r;
-};
+/// One GGM node expansion is one ChaCha20 block keyed by the node seed,
+/// read as 8 words: left child seed (lo, hi), left payload convert
+/// (u, v), then the same for the right child at word kRight. The
+/// control bits ride as the lsb of each child seed and are masked off,
+/// leaving 127-bit effective seeds.
+constexpr std::size_t kRight = 4;
+constexpr std::uint64_t kSeedMask = ~std::uint64_t{1};
 
-NodeExpansion expand(const crypto::Block128& seed) {
-    crypto::ChaCha20Prg prg(seed, kNodeNonce);
-    std::uint8_t buf[64];
-    prg.fill_bytes(buf);
-    NodeExpansion e;
-    e.seed_l = crypto::Block128::from_bytes(buf);
-    const crypto::Block128 vl = crypto::Block128::from_bytes(buf + 16);
-    e.seed_r = crypto::Block128::from_bytes(buf + 32);
-    const crypto::Block128 vr = crypto::Block128::from_bytes(buf + 48);
-    e.t_l = (e.seed_l.lo & 1ULL) != 0;
-    e.t_r = (e.seed_r.lo & 1ULL) != 0;
-    e.seed_l.lo &= ~1ULL;
-    e.seed_r.lo &= ~1ULL;
-    e.value_l = {vl.lo, vl.hi};
-    e.value_r = {vr.lo, vr.hi};
-    return e;
+/// Expand n node seeds (lo, hi word pairs) into n 8-word blocks.
+void expand(const he::kernels::Kernels& kernels, const std::uint64_t* seeds,
+            std::uint64_t* blocks, std::size_t n) {
+    kernels.chacha20_seeded_blocks(seeds, kNodeNonce, reinterpret_cast<std::uint8_t*>(blocks), n);
 }
+
+/// Bit `level` of x, most significant first (the tree's descent order).
+std::uint64_t path_bit(Ring x, int level) { return (x >> (kDomainBits - 1 - level)) & 1U; }
 
 /// Convert a final-level seed into the payload group (the same map the
 /// per-level payload converts use).
-DcfPayload convert(const crypto::Block128& s) { return {s.lo, s.hi}; }
+DcfPayload convert(std::uint64_t lo, std::uint64_t hi) { return {lo, hi}; }
 
 DcfPayload signed_by(bool negate, const DcfPayload& p) { return negate ? p.negated() : p; }
 
-}  // namespace
-
-DcfKeyPair dcf_gen(Ring alpha, const DcfPayload& beta, crypto::ChaCha20Prg& prg) {
-    DcfKeyPair kp;
-    crypto::Block128 s0 = prg.next_block();
-    crypto::Block128 s1 = prg.next_block();
-    kp.k0.root = s0;
-    kp.k1.root = s1;
-    bool t0 = false, t1 = true;
-    DcfPayload v_alpha{};  // running payload correction along the alpha path
-
-    for (int i = 0; i < kDomainBits; ++i) {
-        const bool alpha_bit = ((alpha >> (kDomainBits - 1 - i)) & 1ULL) != 0;
-        const NodeExpansion e0 = expand(s0);
-        const NodeExpansion e1 = expand(s1);
-        // Keep follows the alpha path; Lose is the sibling. When alpha's
-        // bit is 1 the lost (left) subtree lies entirely below alpha, so
-        // its correction must add beta.
-        const bool lose_is_left = alpha_bit;
-        const crypto::Block128& s_lose0 = lose_is_left ? e0.seed_l : e0.seed_r;
-        const crypto::Block128& s_lose1 = lose_is_left ? e1.seed_l : e1.seed_r;
-        const DcfPayload& v_lose0 = lose_is_left ? e0.value_l : e0.value_r;
-        const DcfPayload& v_lose1 = lose_is_left ? e1.value_l : e1.value_r;
-        const crypto::Block128& s_keep0 = lose_is_left ? e0.seed_r : e0.seed_l;
-        const crypto::Block128& s_keep1 = lose_is_left ? e1.seed_r : e1.seed_l;
-        const DcfPayload& v_keep0 = lose_is_left ? e0.value_r : e0.value_l;
-        const DcfPayload& v_keep1 = lose_is_left ? e1.value_r : e1.value_l;
-        const bool t_keep0 = lose_is_left ? e0.t_r : e0.t_l;
-        const bool t_keep1 = lose_is_left ? e1.t_r : e1.t_l;
-
-        const crypto::Block128 seed_cw = s_lose0 ^ s_lose1;
-        DcfPayload value_cw = signed_by(t1, v_lose1 - v_lose0 - v_alpha);
-        if (lose_is_left) value_cw += signed_by(t1, beta);
-        v_alpha = v_alpha - v_keep1 + v_keep0 + signed_by(t1, value_cw);
-
-        const bool t_cw_l = e0.t_l ^ e1.t_l ^ alpha_bit ^ true;
-        const bool t_cw_r = e0.t_r ^ e1.t_r ^ alpha_bit;
-        const bool t_cw_keep = lose_is_left ? t_cw_r : t_cw_l;
-
-        kp.k0.seed_cw[static_cast<std::size_t>(i)] = seed_cw;
-        kp.k1.seed_cw[static_cast<std::size_t>(i)] = seed_cw;
-        kp.k0.value_cw[static_cast<std::size_t>(i)] = value_cw;
-        kp.k1.value_cw[static_cast<std::size_t>(i)] = value_cw;
-        if (t_cw_l) {
-            kp.k0.t_cw_left |= 1ULL << i;
-            kp.k1.t_cw_left |= 1ULL << i;
-        }
-        if (t_cw_r) {
-            kp.k0.t_cw_right |= 1ULL << i;
-            kp.k1.t_cw_right |= 1ULL << i;
-        }
-
-        s0 = t0 ? (s_keep0 ^ seed_cw) : s_keep0;
-        s1 = t1 ? (s_keep1 ^ seed_cw) : s_keep1;
-        t0 = t_keep0 ^ (t0 && t_cw_keep);
-        t1 = t_keep1 ^ (t1 && t_cw_keep);
+/// One tile (m <= kDcfTile keys) of dcf_gen_batch.
+void gen_tile(const he::kernels::Kernels& kernels, const DcfGenInput* in, DcfKey* const* k0,
+              DcfKey* const* k1, std::size_t m) {
+    // Key j's two tree nodes on the alpha path: party 0's seed at words
+    // 4j, 4j+1, party 1's at 4j+2, 4j+3; their expansions likewise.
+    alignas(64) std::uint64_t seeds[4 * kDcfTile] = {};
+    alignas(64) std::uint64_t blocks[16 * kDcfTile] = {};
+    std::uint64_t t0[kDcfTile] = {}, t1[kDcfTile] = {};  // control bits (0/1)
+    DcfPayload v_alpha[kDcfTile];  // running payload correction along the alpha path
+    std::uint64_t t_cw_left[kDcfTile] = {}, t_cw_right[kDcfTile] = {};
+    for (std::size_t j = 0; j < m; ++j) {
+        k0[j]->root = in[j].root0;
+        k1[j]->root = in[j].root1;
+        seeds[4 * j] = in[j].root0.lo;
+        seeds[4 * j + 1] = in[j].root0.hi;
+        seeds[4 * j + 2] = in[j].root1.lo;
+        seeds[4 * j + 3] = in[j].root1.hi;
+        t0[j] = 0;
+        t1[j] = 1;
     }
 
-    const DcfPayload final_cw = signed_by(t1, convert(s1) - convert(s0) - v_alpha);
-    kp.k0.final_cw = final_cw;
-    kp.k1.final_cw = final_cw;
+    for (int i = 0; i < kDomainBits; ++i) {
+        const auto level = static_cast<std::size_t>(i);
+        expand(kernels, seeds, blocks, 2 * m);
+        for (std::size_t j = 0; j < m; ++j) {
+            const std::uint64_t* e0 = blocks + 16 * j;
+            const std::uint64_t* e1 = e0 + 8;
+            const std::uint64_t a = path_bit(in[j].alpha, i);
+            // Keep follows the alpha path; Lose is the sibling. When alpha's
+            // bit is 1 the lost (left) subtree lies entirely below alpha, so
+            // its correction must add beta.
+            const std::size_t lose = a != 0 ? 0 : kRight;
+            const std::size_t keep = kRight - lose;
+            const crypto::Block128 seed_cw{(e0[lose] ^ e1[lose]) & kSeedMask,
+                                           e0[lose + 1] ^ e1[lose + 1]};
+            DcfPayload lost{e1[lose + 2] - e0[lose + 2], e1[lose + 3] - e0[lose + 3]};
+            if (a != 0) lost += in[j].beta;
+            const DcfPayload value_cw = signed_by(t1[j] != 0, lost - v_alpha[j]);
+            // v_alpha - v_keep1 + v_keep0 + signed_by(t1, value_cw); the
+            // two signs cancel, and so does the old v_alpha.
+            v_alpha[j] = DcfPayload{e0[keep + 2] - e1[keep + 2], e0[keep + 3] - e1[keep + 3]} + lost;
+
+            const std::uint64_t cw_l = (e0[0] ^ e1[0] ^ a ^ 1U) & 1U;
+            const std::uint64_t cw_r = (e0[kRight] ^ e1[kRight] ^ a) & 1U;
+            const std::uint64_t cw_keep = a != 0 ? cw_r : cw_l;
+            t_cw_left[j] |= cw_l << i;
+            t_cw_right[j] |= cw_r << i;
+            k0[j]->seed_cw[level] = seed_cw;
+            k0[j]->value_cw[level] = value_cw;
+
+            const std::uint64_t mask0 = 0 - t0[j];
+            const std::uint64_t mask1 = 0 - t1[j];
+            seeds[4 * j] = (e0[keep] & kSeedMask) ^ (seed_cw.lo & mask0);
+            seeds[4 * j + 1] = e0[keep + 1] ^ (seed_cw.hi & mask0);
+            seeds[4 * j + 2] = (e1[keep] & kSeedMask) ^ (seed_cw.lo & mask1);
+            seeds[4 * j + 3] = e1[keep + 1] ^ (seed_cw.hi & mask1);
+            t0[j] = (e0[keep] & 1U) ^ (t0[j] & cw_keep);
+            t1[j] = (e1[keep] & 1U) ^ (t1[j] & cw_keep);
+        }
+    }
+
+    for (std::size_t j = 0; j < m; ++j) {
+        const DcfPayload final_cw =
+            signed_by(t1[j] != 0, convert(seeds[4 * j + 2], seeds[4 * j + 3]) -
+                                      convert(seeds[4 * j], seeds[4 * j + 1]) - v_alpha[j]);
+        // The halves share every correction word: party 0's key took
+        // them level by level, party 1's copies them once.
+        k1[j]->seed_cw = k0[j]->seed_cw;
+        k1[j]->value_cw = k0[j]->value_cw;
+        for (DcfKey* key : {k0[j], k1[j]}) {
+            key->t_cw_left = t_cw_left[j];
+            key->t_cw_right = t_cw_right[j];
+            key->final_cw = final_cw;
+        }
+    }
+}
+
+/// One tile (m <= kDcfTile keys) of dcf_eval_batch.
+void eval_tile(const he::kernels::Kernels& kernels, const DcfKey* const* keys, int party,
+               const Ring* xs, DcfPayload* out, std::size_t m) {
+    alignas(64) std::uint64_t seeds[2 * kDcfTile] = {};
+    alignas(64) std::uint64_t blocks[8 * kDcfTile] = {};
+    std::uint64_t t[kDcfTile] = {};
+    // Unsigned running sums; party 1's share is their negation.
+    DcfPayload sum[kDcfTile];
+    for (std::size_t j = 0; j < m; ++j) {
+        seeds[2 * j] = keys[j]->root.lo;
+        seeds[2 * j + 1] = keys[j]->root.hi;
+        t[j] = party == 1 ? 1 : 0;
+    }
+
+    for (int i = 0; i < kDomainBits; ++i) {
+        const auto level = static_cast<std::size_t>(i);
+        expand(kernels, seeds, blocks, m);
+        for (std::size_t j = 0; j < m; ++j) {
+            const DcfKey& key = *keys[j];
+            const std::uint64_t x_bit = path_bit(xs[j], i);
+            const std::uint64_t* e = blocks + 8 * j + (x_bit != 0 ? kRight : 0);
+            const std::uint64_t mask = 0 - t[j];
+            // Payload converts are taken RAW (pre-correction) plus the
+            // masked value correction; only the child seed and control
+            // bit absorb the seed and control corrections.
+            sum[j] += DcfPayload{e[2] + (key.value_cw[level].u & mask),
+                                 e[3] + (key.value_cw[level].v & mask)};
+            seeds[2 * j] = (e[0] & kSeedMask) ^ (key.seed_cw[level].lo & mask);
+            seeds[2 * j + 1] = e[1] ^ (key.seed_cw[level].hi & mask);
+            const std::uint64_t t_cw = x_bit != 0 ? key.t_cw_right : key.t_cw_left;
+            t[j] = (e[0] & 1U) ^ ((t_cw >> i) & t[j]);
+        }
+    }
+
+    for (std::size_t j = 0; j < m; ++j) {
+        const DcfPayload leaf = convert(seeds[2 * j], seeds[2 * j + 1]);
+        sum[j] += t[j] != 0 ? leaf + keys[j]->final_cw : leaf;
+        out[j] = signed_by(party == 1, sum[j]);
+    }
+}
+
+}  // namespace
+
+void dcf_gen_batch(std::span<const DcfGenInput> in, std::span<DcfKey* const> k0,
+                   std::span<DcfKey* const> k1) {
+    require(k0.size() == in.size() && k1.size() == in.size(),
+            "dcf_gen_batch: input and key spans differ in size");
+    const he::kernels::Kernels& kernels = he::kernels::active();
+    for (std::size_t b = 0; b < in.size(); b += kDcfTile) {
+        const std::size_t m = std::min(kDcfTile, in.size() - b);
+        gen_tile(kernels, in.data() + b, k0.data() + b, k1.data() + b, m);
+    }
+}
+
+void dcf_eval_batch(std::span<const DcfKey* const> keys, int party, std::span<const Ring> xs,
+                    std::span<DcfPayload> out) {
+    require(party == 0 || party == 1, "dcf_eval: party must be 0 or 1");
+    require(xs.size() == keys.size() && out.size() == keys.size(),
+            "dcf_eval_batch: key, point and output spans differ in size");
+    const he::kernels::Kernels& kernels = he::kernels::active();
+    for (std::size_t b = 0; b < keys.size(); b += kDcfTile) {
+        const std::size_t m = std::min(kDcfTile, keys.size() - b);
+        eval_tile(kernels, keys.data() + b, party, xs.data() + b, out.data() + b, m);
+    }
+}
+
+DcfKeyPair dcf_gen(Ring alpha, const DcfPayload& beta, crypto::ChaCha20Prg& prg) {
+    // Braced initializers run in order: root0 is drawn before root1.
+    const DcfGenInput in{
+        .alpha = alpha, .beta = beta, .root0 = prg.next_block(), .root1 = prg.next_block()};
+    DcfKeyPair kp;
+    DcfKey* const k0 = &kp.k0;
+    DcfKey* const k1 = &kp.k1;
+    dcf_gen_batch({&in, 1}, {&k0, 1}, {&k1, 1});
     return kp;
 }
 
 DcfPayload dcf_eval(const DcfKey& key, int party, Ring x) {
-    require(party == 0 || party == 1, "dcf_eval: party must be 0 or 1");
-    const bool negate = party == 1;
-    crypto::Block128 s = key.root;
-    bool t = party == 1;
-    DcfPayload out{};
-
-    for (int i = 0; i < kDomainBits; ++i) {
-        const bool x_bit = ((x >> (kDomainBits - 1 - i)) & 1ULL) != 0;
-        const NodeExpansion e = expand(s);
-        // Payload converts are taken RAW (pre-correction); only the child
-        // seeds and control bits absorb the correction word.
-        const DcfPayload& v_child = x_bit ? e.value_r : e.value_l;
-        out += signed_by(negate, t ? v_child + key.value_cw[static_cast<std::size_t>(i)]
-                                   : v_child);
-        crypto::Block128 s_child = x_bit ? e.seed_r : e.seed_l;
-        bool t_child = x_bit ? e.t_r : e.t_l;
-        if (t) {
-            s_child ^= key.seed_cw[static_cast<std::size_t>(i)];
-            const std::uint64_t t_cw = x_bit ? key.t_cw_right : key.t_cw_left;
-            t_child ^= ((t_cw >> i) & 1ULL) != 0;
-        }
-        s = s_child;
-        t = t_child;
-    }
-
-    out += signed_by(negate, t ? convert(s) + key.final_cw : convert(s));
+    const DcfKey* const k = &key;
+    DcfPayload out;
+    dcf_eval_batch({&k, 1}, party, {&x, 1}, {&out, 1});
     return out;
 }
 

@@ -19,12 +19,24 @@
 /// The payload group is Z_{2^64} x Z_{2^64} (`DcfPayload`): the interval-
 /// containment trick needs shares of both the predicate bit and
 /// predicate*mask, and one 128-bit PRG block converts to exactly one
-/// payload. The per-node PRG is one ChaCha20 block (64 bytes -> left/
-/// right child seeds + left/right payload converts), reusing the repo's
-/// existing primitive.
+/// payload. The per-node PRG is one ChaCha20 block keyed by the node seed
+/// (64 bytes -> left/right child seeds + left/right payload converts).
+///
+/// Generation and evaluation walk many keys' trees level-synchronously:
+/// a tile of up to kDcfTile keys descends all 64 levels before the next
+/// tile starts, and each level expands every node of the tile in one
+/// call to the kernel table's multi-seed ChaCha20 entry
+/// (he::kernels::Kernels::chacha20_seeded_blocks, 16 seeds per AVX-512
+/// pass). Tiles keep a level's correction-word traffic inside the cache;
+/// stepping a whole layer in lockstep would touch one line per key
+/// across every key of the layer. The single-key dcf_gen/dcf_eval are
+/// one-element calls into the same walk, so keys and outputs do not
+/// depend on how calls are batched.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "core/fixed_point.hpp"
 #include "crypto/chacha20.hpp"
@@ -32,6 +44,9 @@
 namespace c2pi::fss {
 
 inline constexpr int kDomainBits = 64;
+
+/// Keys per tile of the level-synchronous walk (see the file comment).
+inline constexpr std::size_t kDcfTile = 64;
 
 /// Element of the DCF payload group Z_{2^64} x Z_{2^64}, componentwise
 /// addition. `u` carries the comparison predicate, `v` carries
@@ -79,9 +94,28 @@ struct DcfKeyPair {
     DcfKey k0, k1;
 };
 
+/// One DCF to generate: the comparison point, the payload and the two
+/// parties' root seeds (the dealer's randomness, drawn by the caller).
+struct DcfGenInput {
+    Ring alpha = 0;
+    DcfPayload beta;
+    crypto::Block128 root0, root1;
+};
+
+/// Generate the key pair of every in[i] into *k0[i] (party 0) and *k1[i]
+/// (party 1), kDcfTile trees at a time. The three spans have equal size.
+void dcf_gen_batch(std::span<const DcfGenInput> in, std::span<DcfKey* const> k0,
+                   std::span<DcfKey* const> k1);
+
+/// out[i] = one party's share of f_i(xs[i]) under *keys[i], kDcfTile
+/// trees at a time. The three spans have equal size.
+void dcf_eval_batch(std::span<const DcfKey* const> keys, int party, std::span<const Ring> xs,
+                    std::span<DcfPayload> out);
+
 /// Generate a DCF key pair for f(x) = beta if x < alpha else 0. `prg`
-/// supplies the two root seeds (the dealer's local randomness; in the
-/// session protocol the server plays dealer, DESIGN.md §4).
+/// supplies the two root seeds (the dealer's local randomness). In the
+/// session protocol the server deals both halves (docs/PROTOCOL.md §4),
+/// so it knows every alpha, which for ReLU material is the mask r.
 [[nodiscard]] DcfKeyPair dcf_gen(Ring alpha, const DcfPayload& beta, crypto::ChaCha20Prg& prg);
 
 /// Evaluate one party's key share at x; the two parties' results sum to

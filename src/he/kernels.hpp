@@ -4,7 +4,9 @@
 /// Runtime-dispatched SIMD kernels for the ring-arithmetic and PRG hot
 /// loops: the NTT butterfly passes, the Shoup modular-multiply limb
 /// loops behind multiply_plain(_accumulate), the add_plain delta fold,
-/// the 4->2 mod-switch compose, and the batched ChaCha20 block function.
+/// the 4->2 mod-switch compose, and two ChaCha20 block batchers — one
+/// stream's consecutive blocks (ChaCha20Prg refills) and one block for
+/// each of many seeds (the DCF's GGM node expansions, fss/dcf.cpp).
 ///
 /// Three variants exist — scalar, AVX2 and AVX-512 — compiled into
 /// separate translation units (only the kernel TUs carry -m arch flags,
@@ -73,7 +75,19 @@ struct Kernels {
     /// caller advances the counter by nblocks.
     void (*chacha20_blocks)(const std::uint32_t state[16], std::uint8_t* out,
                             std::size_t nblocks) = nullptr;
+    /// One ChaCha20 block for each of n seeds: the 64 bytes at out + 64 i
+    /// equal the first 64 bytes of ChaCha20Prg(seed_i, nonce) — key =
+    /// seed_i || seed_i, block counter 0, nonce in state words 13-14.
+    /// Seed i is the 16 bytes of seeds[2i], seeds[2i + 1] (a Block128's
+    /// lo, hi). SIMD tiers run 8 (AVX2) or 16 (AVX-512) seeds per pass,
+    /// one seed per lane; the n mod width tail goes to scalar.
+    void (*chacha20_seeded_blocks)(const std::uint64_t* seeds, std::uint64_t nonce,
+                                   std::uint8_t* out, std::size_t n) = nullptr;
 };
+
+/// ChaCha20's "expand 32-byte k" constants, state words 0-3.
+inline constexpr std::uint32_t kChaChaSigma[4] = {0x61707865, 0x3320646E, 0x79622D32,
+                                                  0x6B206574};
 
 /// The variant every hot loop uses: the best tier the CPU supports,
 /// unless C2PI_KERNELS overrides. Resolved once on first call; an

@@ -6,8 +6,11 @@
 // AVX-512IFMA, and IFMA's 52-bit limbs would change the lazy-reduction
 // intermediate values — bit-compatibility across tiers forbids that).
 //
-// ChaCha20 reuses the 8-block AVX2 path: the batch is 8 blocks either
-// way and the function is memory-bound at that width.
+// The ChaCha20 stream batcher reuses the 8-block AVX2 path: a PRG refill
+// is 8 blocks either way and the function is memory-bound at that width.
+// The seeded batcher (one block per seed, the DCF's node expansions) has
+// its own 16-lane code: native 32-bit rotates and a 16x16 in-register
+// transpose.
 //
 // This TU (alone) is compiled with -mavx512{f,dq,bw,vl}; dispatch
 // guarantees the entry points only run after a cpuid check.
@@ -380,6 +383,90 @@ void chacha20_blocks_avx512(const std::uint32_t state[16], std::uint8_t* out,
     detail::chacha20_blocks_avx2(state, out, nblocks);
 }
 
+// ------------------------------------------------------ seeded ChaCha20 ---
+
+using Z = __m512i;  // 16 x u32 lanes = 16 seeds, one state word per register
+
+inline void quarter_round_z(Z& a, Z& b, Z& c, Z& d) {
+    a = _mm512_add_epi32(a, b);
+    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+    c = _mm512_add_epi32(c, d);
+    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+    a = _mm512_add_epi32(a, b);
+    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+    c = _mm512_add_epi32(c, d);
+    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+}
+
+/// 4x4 u32 transpose inside every 128-bit lane across r[0..3]: lane L,
+/// dword j of r[w] becomes lane L, dword w of r[j].
+inline void transpose_4x4_in_lanes(Z r[4]) {
+    const Z t0 = _mm512_unpacklo_epi32(r[0], r[1]);
+    const Z t1 = _mm512_unpackhi_epi32(r[0], r[1]);
+    const Z t2 = _mm512_unpacklo_epi32(r[2], r[3]);
+    const Z t3 = _mm512_unpackhi_epi32(r[2], r[3]);
+    r[0] = _mm512_unpacklo_epi64(t0, t2);
+    r[1] = _mm512_unpackhi_epi64(t0, t2);
+    r[2] = _mm512_unpacklo_epi64(t1, t3);
+    r[3] = _mm512_unpackhi_epi64(t1, t3);
+}
+
+void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t nonce,
+                                   std::uint8_t* out, std::size_t n) {
+    // Seed b = 4j + L sits at lane L of load j; after the in-lane
+    // transpose its word sits at dword 4L + j, which this permutation
+    // (its own inverse) moves back to dword b.
+    const Z to_seed_order =
+        _mm512_set_epi32(15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5, 1, 12, 8, 4, 0);
+    Z init[16];
+    for (int i = 0; i < 4; ++i) init[i] = _mm512_set1_epi32(static_cast<int>(kChaChaSigma[i]));
+    init[12] = _mm512_setzero_si512();
+    init[13] = _mm512_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce)));
+    init[14] = _mm512_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce >> 32)));
+    init[15] = _mm512_setzero_si512();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        Z key[4];
+        for (int j = 0; j < 4; ++j) key[j] = _mm512_loadu_si512(seeds + 2 * i + 8 * j);
+        transpose_4x4_in_lanes(key);
+        for (int w = 0; w < 4; ++w) {
+            init[4 + w] = _mm512_permutexvar_epi32(to_seed_order, key[w]);
+            init[8 + w] = init[4 + w];  // key = seed || seed
+        }
+
+        Z x[16];
+        for (int w = 0; w < 16; ++w) x[w] = init[w];
+        for (int round = 0; round < 10; ++round) {
+            quarter_round_z(x[0], x[4], x[8], x[12]);
+            quarter_round_z(x[1], x[5], x[9], x[13]);
+            quarter_round_z(x[2], x[6], x[10], x[14]);
+            quarter_round_z(x[3], x[7], x[11], x[15]);
+            quarter_round_z(x[0], x[5], x[10], x[15]);
+            quarter_round_z(x[1], x[6], x[11], x[12]);
+            quarter_round_z(x[2], x[7], x[8], x[13]);
+            quarter_round_z(x[3], x[4], x[9], x[14]);
+        }
+        for (int w = 0; w < 16; ++w) x[w] = _mm512_add_epi32(x[w], init[w]);
+
+        // 16x16 transpose. In-lane 4x4 steps first: lane L of x[4g + j]
+        // then holds words 4g..4g+3 of block 4L + j. Then, per j, a 4x4
+        // transpose of 128-bit lanes gathers block 4L + j's four pieces.
+        for (int g = 0; g < 4; ++g) transpose_4x4_in_lanes(x + 4 * g);
+        std::uint8_t* dst = out + 64 * i;
+        for (int j = 0; j < 4; ++j) {
+            const Z p0 = _mm512_shuffle_i32x4(x[j], x[4 + j], 0x44);       // A0 A1 B0 B1
+            const Z p1 = _mm512_shuffle_i32x4(x[j], x[4 + j], 0xEE);       // A2 A3 B2 B3
+            const Z p2 = _mm512_shuffle_i32x4(x[8 + j], x[12 + j], 0x44);  // C0 C1 D0 D1
+            const Z p3 = _mm512_shuffle_i32x4(x[8 + j], x[12 + j], 0xEE);  // C2 C3 D2 D3
+            _mm512_storeu_si512(dst + 64 * j, _mm512_shuffle_i32x4(p0, p2, 0x88));
+            _mm512_storeu_si512(dst + 64 * (4 + j), _mm512_shuffle_i32x4(p0, p2, 0xDD));
+            _mm512_storeu_si512(dst + 64 * (8 + j), _mm512_shuffle_i32x4(p1, p3, 0x88));
+            _mm512_storeu_si512(dst + 64 * (12 + j), _mm512_shuffle_i32x4(p1, p3, 0xDD));
+        }
+    }
+    if (i < n) scalar_kernels()->chacha20_seeded_blocks(seeds + 2 * i, nonce, out + 64 * i, n - i);
+}
+
 }  // namespace
 
 const Kernels* avx512_kernels() {
@@ -393,6 +480,7 @@ const Kernels* avx512_kernels() {
         .fold_delta = &fold_delta_avx512,
         .mod_switch_4to2 = &mod_switch_4to2_avx512,
         .chacha20_blocks = &chacha20_blocks_avx512,
+        .chacha20_seeded_blocks = &chacha20_seeded_blocks_avx512,
     };
     return &k;
 }

@@ -171,6 +171,22 @@ void chacha20_blocks_scalar(const std::uint32_t state[16], std::uint8_t* out,
     }
 }
 
+void chacha20_seeded_blocks_scalar(const std::uint64_t* seeds, std::uint64_t nonce,
+                                   std::uint8_t* out, std::size_t n) {
+    std::uint32_t input[16] = {kChaChaSigma[0], kChaChaSigma[1], kChaChaSigma[2],
+                               kChaChaSigma[3]};
+    input[13] = static_cast<std::uint32_t>(nonce);
+    input[14] = static_cast<std::uint32_t>(nonce >> 32);
+    for (std::size_t i = 0; i < n; ++i, seeds += 2, out += 64) {
+        // The same byte copy ChaCha20Prg makes of Block128::to_bytes.
+        std::memcpy(&input[4], seeds, 16);
+        std::memcpy(&input[8], seeds, 16);
+        // Words 12-13 read as one counter hold (0, nonce low word), so
+        // this one block is exactly ChaCha20Prg's first.
+        chacha20_blocks_scalar(input, out, 1);
+    }
+}
+
 }  // namespace
 
 const Kernels* scalar_kernels() {
@@ -184,6 +200,7 @@ const Kernels* scalar_kernels() {
         .fold_delta = &fold_delta_scalar,
         .mod_switch_4to2 = &mod_switch_4to2_scalar,
         .chacha20_blocks = &chacha20_blocks_scalar,
+        .chacha20_seeded_blocks = &chacha20_seeded_blocks_scalar,
     };
     return &k;
 }

@@ -168,7 +168,8 @@ std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_shar
 /// FSS backend: drain preprocessed key material (replenishing any
 /// deficit first — both parties compute the identical deficit from their
 /// equal-sized pools, so the dealer/recv calls pair up), reconstruct the
-/// masked values in one round, then evaluate locally.
+/// masked values in one round, then evaluate the layer's DCFs locally as
+/// one tiled batch.
 std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
     auto& pool = ctx.fss_pool();
@@ -179,12 +180,13 @@ std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_sha
         else
             fss::client_replenish(ctx.transport(), pool, deficit);
     }
-    const auto keys = pool.take(n);
+    const fss::KeyPool::Run run = pool.take(n);
+    const std::span<const fss::ReluKeyShare> keys = run.keys;
     std::vector<Ring> masked(n);
     for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + keys[i].r_share;
     const auto z = reveal_shares(ctx, masked);
     std::vector<Ring> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = fss::eval_relu(keys[i], ctx.party(), z[i]);
+    fss::eval_relu_batch(keys, ctx.party(), z, out);
     return out;
 }
 

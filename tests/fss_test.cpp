@@ -1,7 +1,9 @@
 // Unit and integration tests for the FSS comparison subsystem
-// (src/fss/): the DCF primitive against a plaintext comparison oracle,
-// the interval-containment ReLU material, the KEYS-frame batch codec,
-// and the kFss backend at the session layer — cross-backend logit
+// (src/fss/): the DCF primitive against a plaintext comparison oracle
+// (single keys and ragged tiled batches), the interval-containment ReLU
+// material, the dealt key bytes against pinned digests, the KEYS-frame
+// batch codec and the client's schedule check, and the kFss backend at
+// the session layer — cross-backend logit
 // parity (bit-identical vs GC and OT), the preprocessing traffic
 // bucket, and the typed NonlinearMismatch negotiation error. The
 // secure_relu/secure_maxpool protocol-level coverage lives in
@@ -11,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
 #include "fss/compare.hpp"
 #include "fss/dcf.hpp"
+#include "fss/key_pool.hpp"
+#include "net/runtime.hpp"
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
 #include "pi/session.hpp"
@@ -83,6 +89,57 @@ TEST(Dcf, KeyCodecRoundTripsBitExactly) {
     }
 }
 
+/// The probe points of the batch test: 0, alpha-1, alpha, alpha+1,
+/// 2^63 and 2^64-1.
+Ring probe_point(int which, Ring alpha) {
+    switch (which) {
+        case 0: return 0;
+        case 1: return alpha - 1;
+        case 2: return alpha;
+        case 3: return alpha + 1;
+        case 4: return kMid;
+        default: return kMax;
+    }
+}
+
+TEST(Dcf, BatchedEvaluationSumsToOracleOnRaggedSizes) {
+    // Sizes that are not multiples of the tile or of any kernel width, so
+    // full tiles, short tiles and scalar kernel tails all run.
+    for (const std::size_t n : {1UL, 17UL, 257UL}) {
+        crypto::ChaCha20Prg prg(crypto::Block128{0xBA7C, n}, 6);
+        const Ring edge_alphas[] = {0, 1, kMid, kMax};
+        std::vector<DcfGenInput> in(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            in[i].alpha = i < std::size(edge_alphas) ? edge_alphas[i] : prg.next_u64();
+            in[i].beta = {prg.next_u64(), prg.next_u64()};
+            in[i].root0 = prg.next_block();
+            in[i].root1 = prg.next_block();
+        }
+        std::vector<DcfKey> k0(n), k1(n);
+        std::vector<DcfKey*> out0(n), out1(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            out0[i] = &k0[i];
+            out1[i] = &k1[i];
+        }
+        dcf_gen_batch(in, out0, out1);
+        const std::vector<const DcfKey*> keys0(out0.begin(), out0.end());
+        const std::vector<const DcfKey*> keys1(out1.begin(), out1.end());
+
+        for (int which = 0; which < 6; ++which) {
+            std::vector<Ring> xs(n);
+            for (std::size_t i = 0; i < n; ++i) xs[i] = probe_point(which, in[i].alpha);
+            std::vector<DcfPayload> share0(n), share1(n);
+            dcf_eval_batch(keys0, 0, xs, share0);
+            dcf_eval_batch(keys1, 1, xs, share1);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(share0[i] + share1[i], oracle(in[i].alpha, in[i].beta, xs[i]))
+                    << "n=" << n << " key " << i << " point " << which;
+                ASSERT_EQ(share1[i], dcf_eval(k1[i], 1, xs[i])) << "n=" << n << " key " << i;
+            }
+        }
+    }
+}
+
 TEST(FssRelu, MaterialEvaluatesToReluOverSignedBoundaryValues) {
     crypto::ChaCha20Prg prg(crypto::Block128{0xABCD, 0x1}, 4);
     // Signed boundary values encoded into the unsigned ring: zero, +/-1,
@@ -120,6 +177,91 @@ TEST(FssRelu, BatchCodecRoundTripsAndRejectsTruncation) {
 
     std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
     EXPECT_THROW((void)deserialize_batch(truncated), Error);
+}
+
+std::string sha256_hex(std::span<const std::uint8_t> bytes) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t b : crypto::Sha256::digest(bytes)) {
+        out += kHex[b >> 4];
+        out += kHex[b & 0xF];
+    }
+    return out;
+}
+
+/// Both halves of 257 dealt comparisons from a pinned PRG, against
+/// digests of the key material the one-tree-at-a-time dealer produced:
+/// tiling, lane widths and the kernel tier must not change one bit. 257
+/// is no multiple of any tile or lane width.
+TEST(FssRelu, DealtKeysMatchPinnedDigests) {
+    constexpr std::size_t kCount = 257;
+    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> server_halves;
+    net::DuplexChannel channel;
+    (void)net::run_two_party(
+        channel,
+        [&](net::Transport& t) {
+            crypto::ChaCha20Prg prg(crypto::Block128{0x601D'E11, 0x257}, 18);
+            KeyPool pool;
+            dealer_replenish(t, prg, pool, kCount);
+            const KeyPool::Run run = pool.take(kCount);
+            server_halves = serialize_batch({run.keys.begin(), run.keys.end()});
+        },
+        [&](net::Transport& t) { payload = t.recv_keys_bytes(); });
+    ASSERT_EQ(payload.size(), kCount * ReluKeyShare::kSerializedBytes);
+    EXPECT_EQ(sha256_hex(payload),
+              "610887b1461dd7f0191fa698e011486e4b4820badc470fba23f0839dfd188104");
+    EXPECT_EQ(sha256_hex(server_halves),
+              "83cf2a5c2b429e582aefe97cd2145281766ae1877e8cac8ef9dd11fa5f3e1dc1");
+}
+
+TEST(FssRelu, BatchedEvaluationMatchesReluOnRaggedSizes) {
+    for (const std::size_t n : {1UL, 17UL, 257UL}) {
+        crypto::ChaCha20Prg prg(crypto::Block128{0x5E1U, n}, 7);
+        std::vector<ReluKeyShare> server(n), client(n);
+        std::vector<Ring> ys(n), z(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ReluKeyPair pair = gen_relu_material(prg);
+            server[i] = pair.server;
+            client[i] = pair.client;
+            ys[i] = i % 3 == 0 ? Ring{0} - i : prg.next_u64();
+            z[i] = ys[i] + pair.server.r_share + pair.client.r_share;
+        }
+        std::vector<Ring> out0(n), out1(n);
+        eval_relu_batch(server, 0, z, out0);
+        eval_relu_batch(client, 1, z, out1);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out0[i] + out1[i], ys[i] < kMid ? ys[i] : 0) << "n=" << n << " i=" << i;
+    }
+}
+
+/// A scripted dealer ships a well-formed KEYS frame one record short of
+/// the plan-derived schedule, then one record long: the client must
+/// refuse with the schedule error and pool nothing.
+TEST(FssRelu, ClientRejectsKeysFrameOffSchedule) {
+    constexpr std::size_t kScheduled = 3;
+    for (const std::size_t shipped : {kScheduled - 1, kScheduled + 1}) {
+        KeyPool pool;
+        net::DuplexChannel channel;
+        try {
+            (void)net::run_two_party(
+                channel,
+                [&](net::Transport& t) {
+                    crypto::ChaCha20Prg prg(crypto::Block128{0x5C4E, 0xD}, 8);
+                    std::vector<ReluKeyShare> halves;
+                    for (std::size_t i = 0; i < shipped; ++i)
+                        halves.push_back(gen_relu_material(prg).client);
+                    t.send_keys_bytes(serialize_batch(halves));
+                },
+                [&](net::Transport& t) { client_replenish(t, pool, kScheduled); });
+            ADD_FAILURE() << "client pooled " << shipped << " records against a schedule of "
+                          << kScheduled;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("plan-derived schedule"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(pool.size(), 0U) << "shipped " << shipped;
+    }
 }
 
 // ------------------------------------------------- session integration ---

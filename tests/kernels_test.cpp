@@ -5,7 +5,8 @@
 // exactly, not merely compute congruent values. Coverage includes
 // lazy-reduction boundary values (near p, 2p and 4p), non-multiple-of-
 // vector-width lengths (tail loops), the small-n scalar fallback inside
-// the SIMD NTTs, and ChaCha20 counter propagation across 32-bit wraps.
+// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, and
+// the multi-seed ChaCha20 entry against ChaCha20Prg.
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,7 @@ TEST_F(KernelsTest, DispatchListSane) {
         EXPECT_NE(k->fold_delta, nullptr);
         EXPECT_NE(k->mod_switch_4to2, nullptr);
         EXPECT_NE(k->chacha20_blocks, nullptr);
+        EXPECT_NE(k->chacha20_seeded_blocks, nullptr);
     }
 }
 
@@ -259,6 +261,33 @@ TEST_F(KernelsTest, ChaCha20CounterWrapsIdentically) {
         std::vector<std::uint8_t> got(nblocks * 64, 0);
         k->chacha20_blocks(state, got.data(), nblocks);
         ASSERT_EQ(got, ref) << "variant " << k->name;
+    }
+}
+
+// The multi-seed entry behind the DCF tree walk: block i must be the
+// first block of a fresh ChaCha20Prg keyed by seed i. The sizes cover the
+// empty call, pure tails, exact AVX2/AVX-512 widths and ragged mixes.
+TEST_F(KernelsTest, ChaCha20SeededBlocksMatchPrgOnEveryTier) {
+    std::mt19937_64 rng(0xC2B1'000A);
+    for (const std::uint64_t nonce : {std::uint64_t{0xF55}, std::uint64_t{0x0123'4567'89AB'CDEF}}) {
+        for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 15UL, 16UL, 17UL, 33UL, 100UL}) {
+            std::vector<std::uint64_t> seeds(2 * n);
+            for (auto& w : seeds) w = rng();
+            std::vector<std::uint8_t> want(64 * n);
+            for (std::size_t i = 0; i < n; ++i) {
+                c2pi::crypto::ChaCha20Prg prg(c2pi::crypto::Block128{seeds[2 * i], seeds[2 * i + 1]},
+                                              nonce);
+                prg.fill_bytes(std::span<std::uint8_t>(want.data() + 64 * i, 64));
+            }
+            for (const auto* k : kernels::supported()) {
+                std::vector<std::uint8_t> got(64 * n, 0xAA);
+                k->chacha20_seeded_blocks(seeds.data(), nonce, got.data(), n);
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(std::memcmp(got.data() + 64 * i, want.data() + 64 * i, 64), 0)
+                        << "variant " << k->name << " n=" << n << " block " << i
+                        << " nonce=" << nonce;
+            }
+        }
     }
 }
 
