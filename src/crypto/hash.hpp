@@ -6,9 +6,9 @@
 ///  * SipHash-2-4 — fast keyed 64-bit PRF.
 ///  * CrHash — the tweakable correlation-robust hash H(i, x) -> Block128
 ///    used on the hot paths of garbling and OT extension. Production
-///    implementations use fixed-key AES; offline we build it from two
-///    independently keyed SipHash instances (DESIGN.md §4, substitution 3
-///    documents this swap; the protocol structure is unchanged).
+///    implementations use fixed-key AES; here it is built from two
+///    independently keyed SipHash instances (no AES library), which
+///    leaves the protocol structure unchanged.
 
 #include <array>
 #include <cstdint>
@@ -46,7 +46,7 @@ private:
 
 /// The low word of cr_hash at half the cost: cr_hash_u64(t, x) ==
 /// cr_hash(t, x).lo. Used where a caller keeps only 64 bits or fewer of
-/// an OT output (ring-element masks, correlated OT, bit triples).
+/// an OT output (ring-element masks, bit triples).
 [[nodiscard]] std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x);
 
 }  // namespace c2pi::crypto

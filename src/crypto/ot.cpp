@@ -160,35 +160,6 @@ std::vector<Block128> ot_recv_blocks(net::Transport& t, IknpReceiver& ext,
     return out;
 }
 
-// ------------------------------------------------------------ correlated OT ---
-
-std::vector<Ring> cot_send(net::Transport& t, IknpSender& ext, std::span<const Ring> deltas) {
-    const std::size_t n = deltas.size();
-    const auto rot = ext.extend(t, n);
-    std::vector<Ring> shares(n);
-    std::vector<Ring> adjustments(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const Ring t0 = rot.m0_u64(j);
-        const Ring t1 = rot.m1_u64(j);
-        shares[j] = t0;
-        adjustments[j] = t0 + deltas[j] - t1;
-    }
-    t.send_u64s(adjustments);
-    return shares;
-}
-
-std::vector<Ring> cot_recv(net::Transport& t, IknpReceiver& ext,
-                           std::span<const std::uint8_t> choices) {
-    const auto rot = ext.extend(t, choices);
-    const auto adjustments = t.recv_u64s();
-    require(adjustments.size() == choices.size(), "COT adjustment count mismatch");
-    std::vector<Ring> out(choices.size());
-    for (std::size_t j = 0; j < choices.size(); ++j) {
-        out[j] = rot.m_u64(j) + (choices[j] ? adjustments[j] : 0);
-    }
-    return out;
-}
-
 void ot_send_u64_pairs(net::Transport& t, IknpSender& ext, std::span<const Ring> messages0,
                        std::span<const Ring> messages1) {
     require(messages0.size() == messages1.size(), "OT message count mismatch");

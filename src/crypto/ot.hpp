@@ -4,15 +4,16 @@
 /// Oblivious transfer stack.
 ///
 ///  * Base OTs (128 of them) are delivered by a trusted-dealer setup
-///    standing in for Naor-Pinkas (no big-integer/EC library offline; see
-///    DESIGN.md §4, substitution 4). Their traffic is charged explicitly.
+///    standing in for Naor-Pinkas (no big-integer/EC library): both
+///    parties derive them from the shared session seed, so they are not
+///    secret from anyone holding it. Their traffic is charged explicitly.
 ///  * IKNP OT extension (Ishai-Kilian-Nissim-Petrank 2003) is implemented
 ///    faithfully: PRG row expansion, u-matrix transmission, bit-matrix
 ///    transpose (64x64 word-wise), correlation-robust hashing of columns
 ///    (on access, at the width the caller reads).
 ///  * Derived functionalities: chosen-message 1-of-2 OT (blocks / u64 /
-///    bytes), additively correlated OT over Z_{2^64}, 1-of-N OT (the
-///    millionaire protocol's leaves), and GF(2) Beaver "AND" triples.
+///    bytes), 1-of-N OT (the millionaire protocol's leaves), and GF(2)
+///    Beaver "AND" triples.
 ///
 /// Roles: the *sender* learns (m0, m1) pairs; the *receiver* learns m_b
 /// for its choice bits b. In IKNP the extension sender plays base-OT
@@ -127,16 +128,6 @@ void ot_send_blocks(net::Transport& t, IknpSender& ext, std::span<const Block128
                     std::span<const Block128> messages1);
 [[nodiscard]] std::vector<Block128> ot_recv_blocks(net::Transport& t, IknpReceiver& ext,
                                                    std::span<const std::uint8_t> choices);
-
-// -- correlated OT over Z_{2^64} ----------------------------------------------
-
-/// Sender inputs per-OT correlations delta[j]; sender learns random x[j],
-/// receiver learns x[j] + b_j * delta[j]. Used by the secure multiplexer
-/// (ReLU from DReLU) and B2A conversions. Comm: 8 bytes per OT.
-[[nodiscard]] std::vector<Ring> cot_send(net::Transport& t, IknpSender& ext,
-                                         std::span<const Ring> deltas);
-[[nodiscard]] std::vector<Ring> cot_recv(net::Transport& t, IknpReceiver& ext,
-                                         std::span<const std::uint8_t> choices);
 
 /// Chosen-message 1-of-2 OT on 64-bit ring elements (the secure
 /// multiplexer's workhorse). Comm: 16 bytes per OT.

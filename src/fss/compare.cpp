@@ -116,23 +116,6 @@ ReluKeyShare ReluKeyShare::deserialize(const std::uint8_t* in) {
     return key;
 }
 
-std::vector<std::uint8_t> serialize_batch(const std::vector<ReluKeyShare>& keys) {
-    std::vector<std::uint8_t> out(keys.size() * ReluKeyShare::kSerializedBytes);
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        keys[i].serialize_into(out.data() + i * ReluKeyShare::kSerializedBytes);
-    return out;
-}
-
-std::vector<ReluKeyShare> deserialize_batch(const std::vector<std::uint8_t>& bytes) {
-    require(bytes.size() % ReluKeyShare::kSerializedBytes == 0,
-            "fss key batch: payload is not a whole number of key records");
-    std::vector<ReluKeyShare> keys;
-    keys.reserve(bytes.size() / ReluKeyShare::kSerializedBytes);
-    for (std::size_t off = 0; off < bytes.size(); off += ReluKeyShare::kSerializedBytes)
-        keys.push_back(ReluKeyShare::deserialize(bytes.data() + off));
-    return keys;
-}
-
 // ---------------------------------------------------------------- shipment ---
 
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
@@ -156,7 +139,11 @@ void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t coun
     const std::vector<std::uint8_t> payload = transport.recv_keys_bytes();
     require(payload.size() == count * ReluKeyShare::kSerializedBytes,
             "fss key batch: shipped key count does not match the plan-derived schedule");
-    pool.push(deserialize_batch(payload));
+    std::vector<ReluKeyShare> keys;
+    keys.reserve(count);
+    for (std::size_t off = 0; off < payload.size(); off += ReluKeyShare::kSerializedBytes)
+        keys.push_back(ReluKeyShare::deserialize(payload.data() + off));
+    pool.push(std::move(keys));
 }
 
 }  // namespace c2pi::fss

@@ -21,7 +21,7 @@
 /// which sums to 1{z - r in [0, 2^63)} * (z - r) = ReLU(y), matching
 /// the signed drelu semantics b = 1{y >= 0}. Keys are input-independent,
 /// so generation and shipment hoist into the preprocessing phase
-/// (key_pool.hpp buffers batches; the transport's KEYS frames carry the
+/// (key_pool.hpp holds the session's batch; one KEYS frame carries the
 /// client halves).
 ///
 /// The session's dealer is the server (docs/PROTOCOL.md §4): it deals
@@ -83,15 +83,9 @@ void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<co
 /// eval_relu_batch for one element.
 [[nodiscard]] Ring eval_relu(const ReluKeyShare& key, int party, Ring z);
 
-/// Batch codec for KEYS-frame shipment: count * kSerializedBytes, records
-/// back to back.
-[[nodiscard]] std::vector<std::uint8_t> serialize_batch(const std::vector<ReluKeyShare>& keys);
-/// Rejects a payload whose size is not an exact multiple of the record
-/// size with a typed c2pi::Error (truncated shipment, corrupt frame).
-[[nodiscard]] std::vector<ReluKeyShare> deserialize_batch(const std::vector<std::uint8_t>& bytes);
-
-/// Dealer side of one replenish round: generate `count` comparisons,
-/// ship the client halves in one KEYS frame, push the server halves into
+/// Dealer side of the session's preprocessing: generate `count`
+/// comparisons, ship the client halves in one KEYS frame (count records
+/// back to back, serialize_into each), push the server halves into
 /// `pool`. Client halves are encoded straight into the frame payload and
 /// server halves built in place in the batch the pool keeps, so dealing
 /// holds one copy of each half. No-op when count == 0 (no frame on the
@@ -100,11 +94,11 @@ void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<co
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
                       std::size_t count);
 
-/// Client side: receive one KEYS frame and pool the shipped halves.
-/// Throws c2pi::Error, pooling nothing, unless the payload is exactly
-/// `count` records (the two sides must agree on the plan-derived
-/// schedule); the size is checked before any record is decoded. No-op
-/// when count == 0.
+/// Client side: receive one KEYS frame and pool the shipped halves,
+/// decoding each record once. Throws c2pi::Error, pooling nothing, unless
+/// the payload is exactly `count` records (the two sides must agree on
+/// the plan-derived schedule); the size is checked before any record is
+/// decoded. No-op when count == 0.
 void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count);
 
 }  // namespace c2pi::fss

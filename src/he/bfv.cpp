@@ -17,8 +17,8 @@ u64 lift_signed(Ring v, u64 p) {
 }
 
 /// Divisionless lift_signed (identical values) for the per-inference
-/// paths: add_plain folds a full mask polynomial per response, so the
-/// per-coefficient division shows up in the server's online wall time.
+/// path: add_plain_at folds every response's masks, so a per-coefficient
+/// division would show up in the server's online wall time.
 u64 lift_signed_shoup(Ring v, u64 p, u64 one_shoup) {
     const auto sv = static_cast<std::int64_t>(v);
     if (sv >= 0) return reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
@@ -302,35 +302,6 @@ RnsPoly BfvContext::expand_seed_poly_ntt(const crypto::Block128& seed, int limbs
     return a;
 }
 
-Ciphertext BfvContext::make_accumulator() const {
-    Ciphertext acc;
-    acc.c0 = zero_poly(params_.limbs);
-    acc.c1 = zero_poly(params_.limbs);
-    acc.c0.ntt_form = acc.c1.ntt_form = true;
-    acc.ntt_form = true;
-    acc.seed_compressed = false;
-    return acc;
-}
-
-void BfvContext::multiply_plain_accumulate(const Ciphertext& ct_ntt, const RnsPoly& plain_ntt,
-                                           Ciphertext& acc) const {
-    require(ct_ntt.ntt_form && acc.ntt_form && plain_ntt.ntt_form,
-            "multiply_plain_accumulate expects NTT operands");
-    require(ct_ntt.active_limbs() == params_.limbs, "operand must be at fresh modulus");
-    core::parallel_for(params_.pool, 0, static_cast<std::int64_t>(primes_.size()),
-                       [&](std::int64_t limb) {
-        const auto i = static_cast<std::size_t>(limb);
-        const u64 p = primes_[i];
-        const auto& w = plain_ntt.limbs[i];
-        for (std::size_t j = 0; j < params_.n; ++j) {
-            acc.c0.limbs[i][j] =
-                add_mod(acc.c0.limbs[i][j], mul_mod(ct_ntt.c0.limbs[i][j], w[j], p), p);
-            acc.c1.limbs[i][j] =
-                add_mod(acc.c1.limbs[i][j], mul_mod(ct_ntt.c1.limbs[i][j], w[j], p), p);
-        }
-    });
-}
-
 void BfvContext::multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
                                            Ciphertext& acc) const {
     require(ct_ntt.ntt_form && acc.ntt_form, "multiply_plain_accumulate expects NTT operands");
@@ -376,24 +347,12 @@ void BfvContext::multiply_plain(const Ciphertext& ct_ntt, const PlainNtt& plain_
     out.seed_compressed = false;
 }
 
-void BfvContext::add_plain_inplace(Ciphertext& ct, std::span<const Ring> plain) const {
-    require(!ct.ntt_form, "add_plain expects coefficient form");
-    require(ct.active_limbs() == params_.limbs,
-            "add_plain only supported at the fresh modulus (see DESIGN.md §6)");
-    require(plain.size() <= params_.n, "plain poly longer than ring degree");
-    const auto& kr = kernels::active();
-    for (std::size_t i = 0; i < primes_.size(); ++i) {
-        kr.fold_delta(ct.c0.limbs[i].data(), plain.data(), plain.size(), primes_[i],
-                      one_shoup_[i], delta_mod_[i], delta_shoup_[i]);
-    }
-    ct.seed_compressed = false;
-}
-
 void BfvContext::add_plain_at(Ciphertext& ct, std::span<const std::int64_t> positions,
                               std::span<const Ring> values) const {
     require(!ct.ntt_form, "add_plain expects coefficient form");
-    require(ct.active_limbs() == params_.limbs,
-            "add_plain only supported at the fresh modulus (see DESIGN.md §6)");
+    // Δ is precomputed for the fresh modulus only; the server folds its
+    // masks in before the response is switched down to two limbs.
+    require(ct.active_limbs() == params_.limbs, "add_plain only supported at the fresh modulus");
     require(positions.size() == values.size(), "add_plain_at positions/values mismatch");
     for (const std::int64_t pos : positions)
         require(pos >= 0 && static_cast<std::size_t>(pos) < params_.n,
@@ -423,12 +382,6 @@ void BfvContext::mod_switch_to_two_limbs(Ciphertext& ct) const {
         poly->limbs.resize(2);
     }
     ct.seed_compressed = false;
-}
-
-std::size_t BfvContext::serialized_bytes(const Ciphertext& ct) const {
-    const std::size_t per_poly = static_cast<std::size_t>(ct.active_limbs()) * params_.n * 8;
-    const std::size_t c1_bytes = ct.seed_compressed ? 32 : per_poly;
-    return per_poly + c1_bytes;
 }
 
 }  // namespace c2pi::he

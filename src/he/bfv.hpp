@@ -2,14 +2,13 @@
 
 /// \file bfv.hpp
 /// Mini-BFV over an RNS modulus, specialised for the two-party PI linear
-/// layers (SEAL stands in for nothing here — everything is implemented
-/// from scratch; DESIGN.md §4, substitution 3):
+/// layers and written from scratch in place of SEAL:
 ///
 ///  * plaintext modulus t = 2^64 == the MPC share ring, so homomorphic
 ///    conv results are *exact* ring arithmetic;
 ///  * ciphertext modulus q = product of four ~49-bit NTT primes
 ///    (q ≈ 2^196, Δ = q/t ≈ 2^132) — enough headroom for VGG-scale
-///    plain-weight convolutions (noise ≈ 2^93, see DESIGN.md §6);
+///    plain-weight convolutions (noise ≈ 2^93);
 ///  * symmetric encryption only (the client owns the key; the server only
 ///    computes ct (+) ct, ct (x) plain, ct (+) plain);
 ///  * responses are modulus-switched down to two limbs before shipping;
@@ -35,9 +34,8 @@ struct RnsPoly {
 
 /// NTT-form plaintext with per-coefficient Shoup companions — the
 /// compile-time shape of a server weight polynomial. Built once by
-/// BfvContext::to_plain_ntt; the multiply_plain_accumulate fast path then
-/// replaces every 128-bit modular division with a Shoup high-mul.
-/// Numerically identical to multiplying the plain RnsPoly.
+/// BfvContext::to_plain_ntt; multiply_plain(_accumulate) then replaces
+/// every 128-bit modular division with a Shoup high-mul.
 struct PlainNtt {
     std::vector<std::vector<u64>> limbs;  ///< NTT-form values, [limb][coeff]
     std::vector<std::vector<u64>> shoup;  ///< floor(w * 2^64 / q_i), same layout
@@ -91,40 +89,27 @@ public:
 
     // -- homomorphic ops --------------------------------------------------------
     /// Lift an integer polynomial (signed interpretation of Ring values)
-    /// to NTT form over the fresh modulus — used for weight plaintexts.
-    [[nodiscard]] RnsPoly lift_to_ntt(std::span<const Ring> poly) const;
-
-    /// Compile-time form of lift_to_ntt: also precomputes the per-
-    /// coefficient Shoup companions so the online multiply needs no
-    /// 128-bit division. One PlainNtt per (weight poly) is built once in
-    /// CompiledModel and reused by every inference.
+    /// to NTT form over the fresh modulus with per-coefficient Shoup
+    /// companions, so the online multiply needs no 128-bit division. One
+    /// PlainNtt per (weight poly) is built once in CompiledModel and
+    /// reused by every inference.
     [[nodiscard]] PlainNtt to_plain_ntt(std::span<const Ring> poly) const;
 
     void to_ntt(Ciphertext& ct) const;
     void from_ntt(Ciphertext& ct) const;
 
-    /// Zero accumulator in NTT form over the fresh modulus.
-    [[nodiscard]] Ciphertext make_accumulator() const;
-    /// acc += ct * plain_ntt (all operands NTT form, fresh limbs).
-    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const RnsPoly& plain_ntt,
-                                   Ciphertext& acc) const;
-    /// Fast path over a precomputed PlainNtt; bit-identical accumulator.
-    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
-                                   Ciphertext& acc) const;
-    /// out = ct * plain (assign variant: allocates/overwrites `out`, no
-    /// zero accumulator needed). Equals make_accumulator() followed by
-    /// multiply_plain_accumulate, minus the zero-fill and adds.
+    /// out = ct * plain (allocates/overwrites `out`; NTT operands, fresh
+    /// limbs).
     void multiply_plain(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
                         Ciphertext& out) const;
+    /// acc += ct * plain (all operands NTT form, fresh limbs).
+    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
+                                   Ciphertext& acc) const;
 
-    /// c0 += Δ * plain   (coefficient form). Used by the server to fold
-    /// its own plaintext contribution / fresh share mask into a response.
-    void add_plain_inplace(Ciphertext& ct, std::span<const Ring> plain) const;
-
-    /// Sparse add_plain: c0[positions[i]] += Δ * values[i]. Identical to
-    /// add_plain_inplace over the scatter polynomial (zero everywhere
-    /// else), but touches only the populated coefficients — the response
-    /// masks of the linear layers live at a few known output positions.
+    /// c0[positions[i]] += Δ * values[i]   (coefficient form, fresh
+    /// limbs). Used by the server to fold its fresh share masks into a
+    /// response; they live at a few known output positions, so only
+    /// those coefficients are touched.
     void add_plain_at(Ciphertext& ct, std::span<const std::int64_t> positions,
                       std::span<const Ring> values) const;
 
@@ -139,15 +124,8 @@ public:
     /// runs poly_intt, reproducing the historical coefficient expansion.
     [[nodiscard]] RnsPoly expand_seed_poly_ntt(const crypto::Block128& seed, int limbs) const;
 
-    // -- traffic accounting -------------------------------------------------------
-    /// Serialized size: per-limb 8 bytes per coefficient per polynomial;
-    /// seed-compressed fresh ciphertexts replace c1 with 32 bytes.
-    [[nodiscard]] std::size_t serialized_bytes(const Ciphertext& ct) const;
-
-    // exposed for tests
-    [[nodiscard]] u64 delta_mod(int limb) const { return delta_mod_[static_cast<std::size_t>(limb)]; }
-
 private:
+    [[nodiscard]] RnsPoly lift_to_ntt(std::span<const Ring> poly) const;
     [[nodiscard]] RnsPoly zero_poly(int limbs) const;
     [[nodiscard]] RnsPoly uniform_poly_from_seed(const crypto::Block128& seed, int limbs) const;
     void poly_ntt(RnsPoly& p) const;

@@ -65,17 +65,6 @@ std::int64_t ConvEncoder::output_coeff_index(std::int64_t oy, std::int64_t ox) c
            (geo_.kernel - 1 + ox * geo_.stride);
 }
 
-std::vector<Ring> ConvEncoder::scatter_outputs(std::span<const Ring> values) const {
-    require(values.size() == static_cast<std::size_t>(geo_.out_h() * geo_.out_w()),
-            "conv output size mismatch");
-    std::vector<Ring> poly(ctx_->n(), 0);
-    std::size_t i = 0;
-    for (std::int64_t oy = 0; oy < geo_.out_h(); ++oy)
-        for (std::int64_t ox = 0; ox < geo_.out_w(); ++ox)
-            poly[static_cast<std::size_t>(output_coeff_index(oy, ox))] = values[i++];
-    return poly;
-}
-
 std::vector<Ring> ConvEncoder::gather_outputs(std::span<const Ring> poly) const {
     std::vector<Ring> out(static_cast<std::size_t>(geo_.out_h() * geo_.out_w()));
     std::size_t i = 0;
@@ -124,14 +113,6 @@ std::vector<Ring> MatVecEncoder::encode_weight_block(std::span<const Ring> w, st
 
 std::int64_t MatVecEncoder::output_coeff_index(std::int64_t o_local) const {
     return (o_local + 1) * in_ - 1;
-}
-
-std::vector<Ring> MatVecEncoder::scatter_outputs(std::span<const Ring> values, std::int64_t b) const {
-    require(values.size() == static_cast<std::size_t>(rows_in_block(b)), "matvec scatter mismatch");
-    std::vector<Ring> poly(ctx_->n(), 0);
-    for (std::size_t r = 0; r < values.size(); ++r)
-        poly[static_cast<std::size_t>(output_coeff_index(static_cast<std::int64_t>(r)))] = values[r];
-    return poly;
 }
 
 std::vector<Ring> MatVecEncoder::gather_outputs(std::span<const Ring> poly, std::int64_t b) const {

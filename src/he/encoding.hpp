@@ -9,7 +9,7 @@
 /// polynomial product then carries every output pixel of that (group,
 /// output-channel) pair in known coefficient positions. Groups satisfy
 /// C_g * Hp * Wp <= n so no wrapped (negated) term can collide with a
-/// needed coefficient — see the carry analysis in DESIGN.md §6.
+/// needed coefficient.
 ///
 /// Fully-connected: x packed ascending, each weight row packed reversed,
 /// floor(n / in) rows per polynomial; output o sits at coefficient
@@ -64,12 +64,6 @@ public:
     /// Coefficient index of output pixel (oy, ox) in the product poly.
     [[nodiscard]] std::int64_t output_coeff_index(std::int64_t oy, std::int64_t ox) const;
 
-    /// Scatter per-pixel values of one output channel into a length-n
-    /// plaintext polynomial at the output coefficient positions (used by
-    /// the server to fold its plain contribution + fresh mask into the
-    /// response ciphertext).
-    [[nodiscard]] std::vector<Ring> scatter_outputs(std::span<const Ring> values) const;
-
     /// Gather output pixels of one output channel from a decrypted poly.
     [[nodiscard]] std::vector<Ring> gather_outputs(std::span<const Ring> poly) const;
 
@@ -96,9 +90,7 @@ public:
     /// Coefficient index of local output row `o` within a block product.
     [[nodiscard]] std::int64_t output_coeff_index(std::int64_t o_local) const;
 
-    /// Scatter/gather over one block (values.size() == rows in block b).
-    [[nodiscard]] std::vector<Ring> scatter_outputs(std::span<const Ring> values,
-                                                    std::int64_t b) const;
+    /// Gather the rows of block b from a decrypted poly.
     [[nodiscard]] std::vector<Ring> gather_outputs(std::span<const Ring> poly,
                                                    std::int64_t b) const;
 

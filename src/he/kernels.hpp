@@ -3,10 +3,10 @@
 /// \file kernels.hpp
 /// Runtime-dispatched SIMD kernels for the ring-arithmetic and PRG hot
 /// loops: the NTT butterfly passes, the Shoup modular-multiply limb
-/// loops behind multiply_plain(_accumulate), the add_plain delta fold,
-/// the 4->2 mod-switch compose, and two ChaCha20 block batchers — one
-/// stream's consecutive blocks (ChaCha20Prg refills) and one block for
-/// each of many seeds (the DCF's GGM node expansions, fss/dcf.cpp).
+/// loops behind multiply_plain(_accumulate), the 4->2 mod-switch
+/// compose, and two ChaCha20 block batchers — one stream's consecutive
+/// blocks (ChaCha20Prg refills) and one block for each of many seeds
+/// (the DCF's GGM node expansions, fss/dcf.cpp).
 ///
 /// Three variants exist — scalar, AVX2 and AVX-512 — compiled into
 /// separate translation units (only the kernel TUs carry -m arch flags,
@@ -61,10 +61,6 @@ struct Kernels {
     /// acc[j] = (acc[j] + a[j] * w[j]) mod p.
     void (*mul_shoup_accumulate)(u64* acc, const u64* a, const u64* w,
                                  const u64* w_shoup, std::size_t n, u64 p) = nullptr;
-    /// c0[j] = (c0[j] + lift_signed(plain[j]) * delta) mod p — the
-    /// add_plain_inplace fold of a full mask polynomial into a response.
-    void (*fold_delta)(u64* c0, const u64* plain, std::size_t n, u64 p,
-                       u64 one_shoup, u64 delta, u64 delta_shoup) = nullptr;
     /// The per-coefficient 4->2 mod-switch: CRT-compose the dropped pair
     /// (l2, l3), subtract and rescale the kept pair (l0, l1) in place.
     void (*mod_switch_4to2)(u64* l0, u64* l1, const u64* l2, const u64* l3,

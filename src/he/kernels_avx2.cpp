@@ -270,39 +270,6 @@ void mul_shoup_accumulate_avx2(u64* acc, const u64* a, const u64* w,
         acc[j] = add_mod(acc[j], mul_mod_shoup(a[j], w[j], w_shoup[j], p), p);
 }
 
-void fold_delta_avx2(u64* c0, const u64* plain, std::size_t n, u64 p,
-                     u64 one_shoup, u64 delta, u64 delta_shoup) {
-    const V vp = _mm256_set1_epi64x(static_cast<long long>(p));
-    const V vone = _mm256_set1_epi64x(static_cast<long long>(one_shoup));
-    const V vd = _mm256_set1_epi64x(static_cast<long long>(delta));
-    const V vds = _mm256_set1_epi64x(static_cast<long long>(delta_shoup));
-    const V zero = _mm256_setzero_si256();
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const V v = load(plain + j);
-        const V neg = _mm256_cmpgt_epi64(zero, v);  // signed v < 0
-        const V mag = _mm256_blendv_epi8(v, _mm256_sub_epi64(zero, v), neg);
-        const V red = reduce_mod_v(mag, vone, vp);
-        // negative lift: red == 0 ? 0 : p - red
-        V lifted_neg = _mm256_sub_epi64(vp, red);
-        lifted_neg = _mm256_andnot_si256(_mm256_cmpeq_epi64(red, zero), lifted_neg);
-        const V m = _mm256_blendv_epi8(red, lifted_neg, neg);
-        const V term = mul_shoup_v(m, vd, vds, vp);
-        store(c0 + j, add_mod_v(load(c0 + j), term, vp));
-    }
-    for (; j < n; ++j) {
-        const auto sv = static_cast<std::int64_t>(plain[j]);
-        u64 m;
-        if (sv >= 0) {
-            m = reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
-        } else {
-            const u64 mag = reduce_mod_shoup(u64{0} - plain[j], one_shoup, p);
-            m = mag == 0 ? 0 : p - mag;
-        }
-        c0[j] = add_mod(c0[j], mul_mod_shoup(m, delta, delta_shoup, p), p);
-    }
-}
-
 void mod_switch_4to2_avx2(u64* l0, u64* l1, const u64* l2, const u64* l3,
                           std::size_t n, const ModSwitchConsts& k) {
     const V vq3 = _mm256_set1_epi64x(static_cast<long long>(k.q3));
@@ -502,7 +469,6 @@ const Kernels* avx2_kernels() {
         .ntt_inverse = &ntt_inverse_avx2,
         .mul_shoup = &mul_shoup_avx2,
         .mul_shoup_accumulate = &mul_shoup_accumulate_avx2,
-        .fold_delta = &fold_delta_avx2,
         .mod_switch_4to2 = &mod_switch_4to2_avx2,
         .chacha20_blocks = &chacha20_blocks_avx2_impl,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_avx2,

@@ -302,39 +302,6 @@ void mul_shoup_accumulate_avx512(u64* acc, const u64* a, const u64* w,
         acc[j] = add_mod(acc[j], mul_mod_shoup(a[j], w[j], w_shoup[j], p), p);
 }
 
-void fold_delta_avx512(u64* c0, const u64* plain, std::size_t n, u64 p,
-                       u64 one_shoup, u64 delta, u64 delta_shoup) {
-    const V vp = bcast(p);
-    const V vone = bcast(one_shoup);
-    const V vd = bcast(delta);
-    const V vds = bcast(delta_shoup);
-    const V zero = _mm512_setzero_si512();
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const V v = load(plain + j);
-        const __mmask8 neg = _mm512_cmplt_epi64_mask(v, zero);  // signed v < 0
-        const V mag = _mm512_mask_sub_epi64(v, neg, zero, v);
-        const V red = reduce_mod_v(mag, vone, vp);
-        // negative lanes lift to p - red, except red == 0 stays 0
-        V m = _mm512_mask_sub_epi64(red, neg, vp, red);
-        const __mmask8 kill = neg & _mm512_cmpeq_epi64_mask(red, zero);
-        m = _mm512_maskz_mov_epi64(static_cast<__mmask8>(~kill), m);
-        const V term = mul_shoup_v(m, vd, vds, vp);
-        store(c0 + j, add_mod_v(load(c0 + j), term, vp));
-    }
-    for (; j < n; ++j) {
-        const auto sv = static_cast<std::int64_t>(plain[j]);
-        u64 m;
-        if (sv >= 0) {
-            m = reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
-        } else {
-            const u64 mag = reduce_mod_shoup(u64{0} - plain[j], one_shoup, p);
-            m = mag == 0 ? 0 : p - mag;
-        }
-        c0[j] = add_mod(c0[j], mul_mod_shoup(m, delta, delta_shoup, p), p);
-    }
-}
-
 void mod_switch_4to2_avx512(u64* l0, u64* l1, const u64* l2, const u64* l3,
                             std::size_t n, const ModSwitchConsts& k) {
     const V vq3 = bcast(k.q3);
@@ -477,7 +444,6 @@ const Kernels* avx512_kernels() {
         .ntt_inverse = &ntt_inverse_avx512,
         .mul_shoup = &mul_shoup_avx512,
         .mul_shoup_accumulate = &mul_shoup_accumulate_avx512,
-        .fold_delta = &fold_delta_avx512,
         .mod_switch_4to2 = &mod_switch_4to2_avx512,
         .chacha20_blocks = &chacha20_blocks_avx512,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_avx512,

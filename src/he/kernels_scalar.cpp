@@ -88,24 +88,6 @@ void mul_shoup_accumulate_scalar(u64* acc, const u64* a, const u64* w,
         acc[j] = add_mod(acc[j], mul_mod_shoup(a[j], w[j], w_shoup[j], p), p);
 }
 
-void fold_delta_scalar(u64* c0, const u64* plain, std::size_t n, u64 p,
-                       u64 one_shoup, u64 delta, u64 delta_shoup) {
-    for (std::size_t j = 0; j < n; ++j) {
-        // Divisionless signed lift of the ring element into [0, p): the
-        // magnitude of a negative value is computed in unsigned
-        // arithmetic (negating INT64_MIN would be signed-overflow UB).
-        const auto sv = static_cast<std::int64_t>(plain[j]);
-        u64 m;
-        if (sv >= 0) {
-            m = reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
-        } else {
-            const u64 mag = reduce_mod_shoup(u64{0} - plain[j], one_shoup, p);
-            m = mag == 0 ? 0 : p - mag;
-        }
-        c0[j] = add_mod(c0[j], mul_mod_shoup(m, delta, delta_shoup, p), p);
-    }
-}
-
 void mod_switch_4to2_scalar(u64* l0, u64* l1, const u64* l2, const u64* l3,
                             std::size_t n, const ModSwitchConsts& k) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -197,7 +179,6 @@ const Kernels* scalar_kernels() {
         .ntt_inverse = &ntt_inverse_scalar,
         .mul_shoup = &mul_shoup_scalar,
         .mul_shoup_accumulate = &mul_shoup_accumulate_scalar,
-        .fold_delta = &fold_delta_scalar,
         .mod_switch_4to2 = &mod_switch_4to2_scalar,
         .chacha20_blocks = &chacha20_blocks_scalar,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_scalar,

@@ -37,9 +37,10 @@ public:
                                       session_seed.hi ^ 0x9D0FULL},
                      /*nonce=*/static_cast<std::uint64_t>(transport.party_id()) + 200) {
         // Two base-OT setups, one per sender direction. Both parties derive
-        // them deterministically from the session seed (trusted-dealer
-        // substitution, DESIGN.md §4); the replaced Naor-Pinkas traffic is
-        // charged to whoever first touches the channel in setup_charged().
+        // them deterministically from the session seed, standing in for
+        // Naor-Pinkas public-key base OTs (so anyone holding the seed can
+        // rebuild them); the session layer sends a setup message of the
+        // replaced Naor-Pinkas size in their place.
         const auto setup_a = crypto::dealer_base_ots(
             crypto::Block128{session_seed.lo ^ 0xA, session_seed.hi});
         const auto setup_b = crypto::dealer_base_ots(
@@ -61,10 +62,11 @@ public:
     [[nodiscard]] crypto::ChaCha20Prg& prg() { return prg_; }
 
     /// Dedicated stream for randomness that determines SHARE VALUES:
-    /// the HE linear layers' output masks and encryption noise, and the
-    /// session layer's canonical post-nonlinear resharing. Kept separate
-    /// from prg() (protocol-internal randomness: garbling, OT offsets,
-    /// FSS key material) so its state depends only on the layer plan,
+    /// the HE linear layers' output masks (drawn up front in channel or
+    /// block order) and encryption noise, and the session layer's
+    /// canonical post-nonlinear resharing. Kept separate from prg()
+    /// (protocol-internal randomness: garbling, OT offsets, FSS key
+    /// material) so its state depends only on the layer plan,
     /// never on which nonlinear backend ran in between. Local share
     /// truncation makes reconstructed values share-dependent, so this
     /// separation is the invariant behind bit-identical logits across
@@ -83,10 +85,10 @@ public:
         return *client_key_;
     }
 
-    /// This party's pool of preprocessed FSS ReLU material (kFss backend).
-    /// Per-session by necessity: the keys pair with the peer's halves
-    /// shipped over THIS connection, so sharing a pool across sessions
-    /// would mismatch key halves.
+    /// This party's preprocessed FSS ReLU material (kFss backend), dealt
+    /// once per session before the layer walk. Per-session by necessity:
+    /// the keys pair with the peer's halves shipped over THIS connection,
+    /// so sharing a pool across sessions would mismatch key halves.
     [[nodiscard]] fss::KeyPool& fss_pool() { return fss_pool_; }
 
     /// GC circuit cache for secure_maxpool. Sessions point this at their
@@ -119,27 +121,6 @@ public:
     void set_pipeline(bool enabled) { pipeline_ = enabled; }
     [[nodiscard]] bool pipeline() const { return pipeline_; }
 
-    // -- prefetched share-mask draws -----------------------------------------
-    /// The server's share_prg() is consumed ONLY by the linear layers'
-    /// output masks, in layer order — so while layer k's nonlinear round
-    /// trips are in flight, the session layer may pre-draw layer k+1's
-    /// masks on another thread (synchronized by thread join) and stash
-    /// them here. next_mask_draw() then serves the stash in order before
-    /// falling back to the live stream; the draw sequence is identical
-    /// to the unprefetched path by construction.
-    void stash_mask_draws(std::vector<Ring> draws) {
-        require(!has_stashed_mask_draws(), "mask prefetch: previous stash not fully consumed");
-        mask_stash_ = std::move(draws);
-        mask_stash_pos_ = 0;
-    }
-    [[nodiscard]] bool has_stashed_mask_draws() const {
-        return mask_stash_pos_ < mask_stash_.size();
-    }
-    [[nodiscard]] Ring next_mask_draw() {
-        if (mask_stash_pos_ < mask_stash_.size()) return mask_stash_[mask_stash_pos_++];
-        return share_prg_.next_u64();
-    }
-
 private:
     net::Transport* transport_;
     FixedPointFormat fmt_;
@@ -154,8 +135,6 @@ private:
     GcCircuitCache owned_gc_cache_;
     std::vector<std::uint8_t> send_scratch_, recv_scratch_, aux_recv_scratch_;
     bool pipeline_ = false;
-    std::vector<Ring> mask_stash_;
-    std::size_t mask_stash_pos_ = 0;
 };
 
 }  // namespace c2pi::mpc

@@ -230,15 +230,14 @@ std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
     // Fresh mask r per channel: client will end with conv(x_c) - r; the
     // server's share is conv(x_s) + bias + r. Masks are drawn up front in
     // channel order so the share-PRG stream never depends on the
-    // parallel schedule below (next_mask_draw serves the session layer's
-    // prefetched stash first — same draw sequence either way).
+    // parallel schedule below.
     std::vector<Ring> out_share(static_cast<std::size_t>(geo.out_channels * out_pixels));
     std::vector<std::vector<Ring>> masks(static_cast<std::size_t>(geo.out_channels));
     for (std::int64_t o = 0; o < geo.out_channels; ++o) {
         std::vector<Ring>& mask = masks[static_cast<std::size_t>(o)];
         mask.resize(static_cast<std::size_t>(out_pixels));
         for (std::int64_t i = 0; i < out_pixels; ++i) {
-            const Ring r = ctx.next_mask_draw();
+            const Ring r = ctx.share_prg().next_u64();
             mask[static_cast<std::size_t>(i)] = Ring{0} - r;
             Ring server_val = plain_part[static_cast<std::size_t>(o * out_pixels + i)] + r;
             if (!cache.bias2f.empty()) server_val += cache.bias2f[static_cast<std::size_t>(o)];
@@ -301,9 +300,8 @@ std::vector<Ring> he_matvec_server(PartyContext& ctx, const MatVecLayerCache& ca
     const auto plain_part = ring_matvec(cache.weights, x_share, in, out);
     std::vector<Ring> out_share(static_cast<std::size_t>(out));
 
-    // Block masks in block order first (PRG determinism — next_mask_draw
-    // serves any session-layer prefetch stash in the same order), then
-    // the block responses in parallel, sent in block order.
+    // Block masks in block order first (PRG determinism), then the block
+    // responses in parallel, sent in block order.
     std::vector<std::vector<Ring>> masks(static_cast<std::size_t>(enc.num_blocks()));
     for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
         const std::int64_t rows = std::min(enc.outs_per_block(), out - b * enc.outs_per_block());
@@ -311,7 +309,7 @@ std::vector<Ring> he_matvec_server(PartyContext& ctx, const MatVecLayerCache& ca
         mask.resize(static_cast<std::size_t>(rows));
         for (std::int64_t r = 0; r < rows; ++r) {
             const std::int64_t row = b * enc.outs_per_block() + r;
-            const Ring rv = ctx.next_mask_draw();
+            const Ring rv = ctx.share_prg().next_u64();
             mask[static_cast<std::size_t>(r)] = Ring{0} - rv;
             Ring server_val = plain_part[static_cast<std::size_t>(row)] + rv;
             if (!cache.bias2f.empty()) server_val += cache.bias2f[static_cast<std::size_t>(row)];

@@ -2,8 +2,8 @@
 
 /// \file linear.hpp
 /// HE-based secure linear layers over additive shares (the Cheetah linear
-/// protocol; the Delphi offline pair generation is the same protocol with
-/// the server's share zeroed — see DESIGN.md §6).
+/// protocol; PiBackend::kDelphi runs the same protocol and only charges
+/// its traffic to the offline phase).
 ///
 /// Protocol (conv): the client encrypts its input share group-by-group;
 /// the server homomorphically convolves with its plaintext weights, folds

@@ -140,48 +140,32 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
     return out;
 }
 
-std::vector<Ring> pick_fresh(PartyContext& ctx, std::span<const Ring> pinned, std::size_t n) {
+/// The garbler's output share: n fresh draws from the party PRG.
+std::vector<Ring> pick_fresh(PartyContext& ctx, std::size_t n) {
     std::vector<Ring> fresh(n);
-    if (pinned.empty()) {
-        for (auto& v : fresh) v = ctx.prg().next_u64();
-    } else {
-        require(pinned.size() == n, "client_fresh_share size mismatch");
-        std::copy(pinned.begin(), pinned.end(), fresh.begin());
-    }
+    for (auto& v : fresh) v = ctx.prg().next_u64();
     return fresh;
 }
 
-std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_share,
-                                 std::span<const Ring> client_fresh_share) {
+std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
     static const crypto::Circuit circuit = crypto::build_relu_circuit(64);
     if (ctx.is_server()) {
         return gc_batch_evaluator(ctx, circuit, {y_share}, n);
     }
-    const auto fresh = pick_fresh(ctx, client_fresh_share, n);
+    const auto fresh = pick_fresh(ctx, n);
     std::vector<Ring> neg_r(n);
     for (std::size_t i = 0; i < n; ++i) neg_r[i] = Ring{0} - fresh[i];
     gc_batch_garbler(ctx, circuit, {y_share}, neg_r);
     return fresh;
 }
 
-/// FSS backend: drain preprocessed key material (replenishing any
-/// deficit first — both parties compute the identical deficit from their
-/// equal-sized pools, so the dealer/recv calls pair up), reconstruct the
-/// masked values in one round, then evaluate the layer's DCFs locally as
-/// one tiled batch.
+/// FSS backend: take this layer's keys from the session's dealt batch,
+/// reconstruct the masked values in one round, then evaluate the layer's
+/// DCFs locally as one tiled batch.
 std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
-    auto& pool = ctx.fss_pool();
-    if (pool.size() < n) {
-        const std::size_t deficit = n - pool.size();
-        if (ctx.is_server())
-            fss::dealer_replenish(ctx.transport(), ctx.prg(), pool, deficit);
-        else
-            fss::client_replenish(ctx.transport(), pool, deficit);
-    }
-    const fss::KeyPool::Run run = pool.take(n);
-    const std::span<const fss::ReluKeyShare> keys = run.keys;
+    const std::span<const fss::ReluKeyShare> keys = ctx.fss_pool().take(n);
     std::vector<Ring> masked(n);
     for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + keys[i].r_share;
     const auto z = reveal_shares(ctx, masked);
@@ -205,17 +189,14 @@ std::vector<Ring> max_pairwise_fss(PartyContext& ctx, std::span<const Ring> a,
 }  // namespace
 
 std::vector<Ring> secure_relu(PartyContext& ctx, std::span<const Ring> y_share,
-                              NonlinearBackend backend,
-                              std::span<const Ring> client_fresh_share) {
-    if (backend == NonlinearBackend::kGarbledCircuit)
-        return relu_shares_gc(ctx, y_share, client_fresh_share);
+                              NonlinearBackend backend) {
+    if (backend == NonlinearBackend::kGarbledCircuit) return relu_shares_gc(ctx, y_share);
     if (backend == NonlinearBackend::kFss) return relu_shares_fss(ctx, y_share);
     return relu_shares_ot(ctx, y_share);
 }
 
 RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int64_t kernel,
-                          std::int64_t stride, NonlinearBackend backend,
-                          std::span<const Ring> client_fresh_share) {
+                          std::int64_t stride, NonlinearBackend backend) {
     require(x_share.shape.size() == 3, "secure_maxpool expects [C,H,W] shares");
     const std::int64_t c = x_share.shape[0], h = x_share.shape[1], w = x_share.shape[2];
     const std::int64_t oh = (h - kernel) / stride + 1;
@@ -251,7 +232,7 @@ RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int
         if (ctx.is_server()) {
             result = gc_batch_evaluator(ctx, circuit, spans, windows);
         } else {
-            const auto fresh = pick_fresh(ctx, client_fresh_share, windows);
+            const auto fresh = pick_fresh(ctx, windows);
             std::vector<Ring> neg_r(windows);
             for (std::size_t i = 0; i < windows; ++i) neg_r[i] = Ring{0} - fresh[i];
             gc_batch_garbler(ctx, circuit, spans, neg_r);

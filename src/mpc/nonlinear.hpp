@@ -6,15 +6,14 @@
 ///
 ///  * kGarbledCircuit — Delphi-style: the client garbles ReLU/Max circuits
 ///    (tables shipped in the offline phase), the server evaluates online
-///    and ends up holding the freshly re-shared output. The client's
-///    output share can be pinned via `client_fresh_share` so the Delphi
-///    engine can pre-commit its offline masks.
+///    and ends up holding the freshly re-shared output.
 ///  * kOtMillionaire — Cheetah-style: DReLU via the radix-16 millionaire
-///    protocol + COT multiplexer (see millionaire.hpp), online-only.
+///    protocol + OT multiplexer (see millionaire.hpp), online-only.
 ///  * kFss — function-secret-sharing comparisons (fss/compare.hpp):
-///    DCF key pairs are dealt in the preprocessing phase (the pool in
-///    PartyContext), so the online cost per ReLU batch is one masked-
-///    value reconstruction round plus local DCF evaluations.
+///    DCF key pairs are dealt in the preprocessing phase into the pool
+///    in PartyContext, so the online cost per ReLU batch is one masked-
+///    value reconstruction round plus local DCF evaluations. A kFss
+///    layer on a context with too few dealt keys throws c2pi::Error.
 ///
 /// All backends expose the same share-in/share-out signature so the PI
 /// engines stay backend-agnostic.
@@ -25,19 +24,15 @@ namespace c2pi::mpc {
 
 enum class NonlinearBackend { kGarbledCircuit, kOtMillionaire, kFss };
 
-/// Batched secure ReLU. `client_fresh_share` (client side, GC backend
-/// only) pins the client's output share; pass empty to draw from the
-/// party PRG. Server must pass empty.
+/// Batched secure ReLU.
 [[nodiscard]] std::vector<Ring> secure_relu(PartyContext& ctx, std::span<const Ring> y_share,
-                                            NonlinearBackend backend,
-                                            std::span<const Ring> client_fresh_share = {});
+                                            NonlinearBackend backend);
 
 /// Secure MaxPool over an NCHW share tensor (kernel k, stride s, square,
 /// non-overlapping as in the paper's models). Returns pooled shares.
 [[nodiscard]] RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share,
                                         std::int64_t kernel, std::int64_t stride,
-                                        NonlinearBackend backend,
-                                        std::span<const Ring> client_fresh_share = {});
+                                        NonlinearBackend backend);
 
 /// Reveal additive shares to both parties (each sends its share).
 [[nodiscard]] std::vector<Ring> reveal_shares(PartyContext& ctx, std::span<const Ring> share);

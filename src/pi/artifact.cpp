@@ -10,22 +10,21 @@ namespace {
 // Layout (all integers little-endian; normative spec: docs/PROTOCOL.md §3):
 //
 //   magic   4B  'C' '2' 'M' 'A'
-//   version u16 1
+//   version u16 2
 //   length  u32 total byte count of the whole artifact, header included
 //   body        fields in declaration order; shapes as u8 rank + i64 dims,
-//               the plan as u32 count + fixed-layout entries
+//               the plan as u32 count + fixed-layout entries, each
+//               ending with its input0/input1 edge indices
 //
 // Every entry writes ALL LayerPlan fields (unused ones hold their
 // defaults), so decode(encode(a)) == a field-for-field and re-encoding is
 // byte-stable.
 
 constexpr std::uint8_t kArtifactMagic[4] = {'C', '2', 'M', 'A'};
-/// v1: chain plans (entry i implicitly consumes entry i-1). v2: appends
-/// the input0/input1 edge indices to every plan entry, so DAG plans
-/// (residual adds, global-avgpool heads) ship; chain plans still emit v1
-/// so pre-DAG wire transcripts stay byte-identical.
-constexpr std::uint16_t kArtifactVersionV1 = 1;
-constexpr std::uint16_t kArtifactVersionV2 = 2;
+/// The one codec version: every plan entry carries its input0/input1
+/// edge indices, so DAG plans (residual adds, global-avgpool heads) ship.
+/// Decoders reject every other version.
+constexpr std::uint16_t kArtifactVersion = 2;
 /// Hostile-input bounds: far above anything the model zoo produces, far
 /// below anything that could amplify into a giant allocation or overflow
 /// the derived-geometry arithmetic (out_h/out_w, shape_numel).
@@ -118,7 +117,7 @@ struct Reader {
     }
 };
 
-void write_plan_entry(Writer& w, const LayerPlan& p, std::uint16_t version) {
+void write_plan_entry(Writer& w, const LayerPlan& p) {
     w.u8(static_cast<std::uint8_t>(p.op));
     w.i64(p.geo.in_channels);
     w.i64(p.geo.height);
@@ -133,18 +132,15 @@ void write_plan_entry(Writer& w, const LayerPlan& p, std::uint16_t version) {
     w.i64(p.pool_stride);
     w.shape(p.in_shape);
     w.shape(p.out_shape);
-    if (version >= kArtifactVersionV2) {
-        w.i64(p.input0);
-        w.i64(p.input1);
-    }
+    w.i64(p.input0);
+    w.i64(p.input1);
 }
 
-LayerPlan read_plan_entry(Reader& r, std::uint16_t version, std::size_t index) {
+LayerPlan read_plan_entry(Reader& r) {
     LayerPlan p;
     const std::uint8_t op = r.u8();
-    // v1 predates the DAG ops; a v1 payload claiming one is hostile.
-    const auto max_op = version >= kArtifactVersionV2 ? PlanOp::kResidualAdd : PlanOp::kFlatten;
-    require(op <= static_cast<std::uint8_t>(max_op), "model artifact: unknown plan op");
+    require(op <= static_cast<std::uint8_t>(PlanOp::kResidualAdd),
+            "model artifact: unknown plan op");
     p.op = static_cast<PlanOp>(op);
     p.geo.in_channels = r.i64();
     p.geo.height = r.i64();
@@ -159,26 +155,9 @@ LayerPlan read_plan_entry(Reader& r, std::uint16_t version, std::size_t index) {
     p.pool_stride = r.i64();
     p.in_shape = r.shape();
     p.out_shape = r.shape();
-    if (version >= kArtifactVersionV2) {
-        p.input0 = r.i64();
-        p.input1 = r.i64();
-    } else {
-        // v1 plans are chains by construction.
-        p.input0 = static_cast<std::int64_t>(index) - 1;
-        p.input1 = -1;
-    }
+    p.input0 = r.i64();
+    p.input1 = r.i64();
     return p;
-}
-
-/// A plan needs the v2 codec exactly when it is not a pure chain of
-/// v1-era ops; everything else round-trips through v1 byte-identically.
-bool plan_needs_v2(const std::vector<LayerPlan>& plan) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        const LayerPlan& p = plan[i];
-        if (p.op == PlanOp::kGlobalAvgPool || p.op == PlanOp::kResidualAdd) return true;
-        if (p.input0 != static_cast<std::int64_t>(i) - 1 || p.input1 != -1) return true;
-    }
-    return false;
 }
 
 }  // namespace
@@ -355,10 +334,9 @@ void ModelArtifact::validate() const {
 }
 
 std::vector<std::uint8_t> ModelArtifact::serialize() const {
-    const std::uint16_t version = plan_needs_v2(plan) ? kArtifactVersionV2 : kArtifactVersionV1;
     Writer w;
     w.bytes.insert(w.bytes.end(), kArtifactMagic, kArtifactMagic + 4);
-    w.u16(version);
+    w.u16(kArtifactVersion);
     w.u32(0);  // total length, patched below
     w.shape(input_chw);
     w.i64(cut.linear_index);
@@ -370,7 +348,7 @@ std::vector<std::uint8_t> ModelArtifact::serialize() const {
     w.u32(static_cast<std::uint32_t>(he_limbs));
     w.u32(static_cast<std::uint32_t>(he_noise_bound));
     w.u32(static_cast<std::uint32_t>(plan.size()));
-    for (const LayerPlan& p : plan) write_plan_entry(w, p, version);
+    for (const LayerPlan& p : plan) write_plan_entry(w, p);
     const std::uint32_t total = static_cast<std::uint32_t>(w.bytes.size());
     for (int i = 0; i < 4; ++i)
         w.bytes[6 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(total >> (8 * i));
@@ -383,9 +361,7 @@ ModelArtifact ModelArtifact::deserialize(std::span<const std::uint8_t> bytes) {
     require(std::memcmp(bytes.data(), kArtifactMagic, 4) == 0,
             "model artifact: bad magic (not a C2PI model artifact)");
     r.pos = 4;
-    const std::uint16_t version = r.u16();
-    require(version == kArtifactVersionV1 || version == kArtifactVersionV2,
-            "model artifact: unsupported codec version");
+    require(r.u16() == kArtifactVersion, "model artifact: unsupported codec version");
     const std::uint32_t total = r.u32();
     require(total == bytes.size(),
             total > bytes.size() ? "model artifact: truncated payload"
@@ -405,8 +381,7 @@ ModelArtifact ModelArtifact::deserialize(std::span<const std::uint8_t> bytes) {
     require(entries > 0 && entries <= kMaxPlanEntries,
             "model artifact: plan size out of range");
     a.plan.reserve(entries);
-    for (std::uint32_t i = 0; i < entries; ++i)
-        a.plan.push_back(read_plan_entry(r, version, i));
+    for (std::uint32_t i = 0; i < entries; ++i) a.plan.push_back(read_plan_entry(r));
     require(r.remaining() == 0, "model artifact: trailing bytes after payload");
     a.validate();
     return a;

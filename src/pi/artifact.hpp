@@ -75,10 +75,9 @@ struct ModelArtifact {
     /// Versioned binary codec (magic/version/length-checked; all integers
     /// little-endian; see docs/PROTOCOL.md §3 for the normative layout).
     /// serialize() is deterministic: equal artifacts produce identical
-    /// bytes, so re-serializing a decoded artifact is byte-stable. Chain
-    /// plans emit version 1 (byte-identical to pre-DAG artifacts); plans
-    /// with skip edges or v2-only ops emit version 2, which appends the
-    /// two edge indices to every plan entry.
+    /// bytes, so re-serializing a decoded artifact is byte-stable. There
+    /// is one codec version (2): every plan entry carries its two edge
+    /// indices, and deserialize() rejects any other version.
     [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
     /// Decode + validate. Throws c2pi::Error on bad magic, unsupported

@@ -17,9 +17,8 @@
 
 namespace c2pi::pi {
 
-/// Byte values are part of the artifact wire format: kGlobalAvgPool and
-/// kResidualAdd are appended (v2-only ops) so v1 artifacts keep their
-/// original encoding.
+/// Byte values are part of the artifact wire format (docs/PROTOCOL.md
+/// §3): new ops append, existing values never change.
 enum class PlanOp {
     kConv,
     kLinear,
@@ -42,7 +41,7 @@ struct LayerPlan {
     Shape out_shape;
     /// DAG edges: plan-entry index (or -1 = the boundary input) whose
     /// output this entry consumes. input1 is -1 except for kResidualAdd.
-    /// A chain plan has input0 == i-1 everywhere (v1 artifacts imply it).
+    /// A chain plan has input0 == i-1 everywhere.
     std::int64_t input0 = -1;
     std::int64_t input1 = -1;
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "fss/compare.hpp"
 #include "fss/key_pool.hpp"
@@ -111,58 +110,6 @@ std::vector<Ring> reshare_canonical(mpc::PartyContext& ctx, std::vector<Ring> sh
     return share;
 }
 
-/// Cross-layer overlap (pipelined sessions, server only): while a
-/// nonlinear layer's OT/GC/FSS round trips are in flight, pre-draw the
-/// NEXT linear layer's output masks from share_prg() on a helper thread
-/// and stash them in the context. The server's share stream is consumed
-/// ONLY by linear-layer masks, in layer order (context.hpp), so drawing
-/// them early cannot change any value — next_mask_draw() replays the
-/// stash in the exact order the live stream would have produced. The
-/// client never prefetches: its share stream also feeds encryption noise
-/// and post-nonlinear resharing, which interleave with these rounds.
-/// Synchronization is by thread create/join only; the protocol thread
-/// never touches share_prg() while the helper runs.
-class MaskPrefetch {
-public:
-    MaskPrefetch(mpc::PartyContext& ctx, const std::vector<LayerPlan>& plan, std::size_t after)
-        : ctx_(ctx) {
-        if (!ctx_.is_server() || !ctx_.pipeline() || ctx_.has_stashed_mask_draws()) return;
-        std::int64_t count = 0;
-        for (std::size_t j = after + 1; j < plan.size(); ++j) {
-            if (plan[j].op == PlanOp::kConv || plan[j].op == PlanOp::kLinear) {
-                count = shape_numel(plan[j].out_shape);
-                break;
-            }
-        }
-        if (count <= 0) return;
-        thread_ = std::thread([this, count] {
-            draws_.resize(static_cast<std::size_t>(count));
-            for (auto& d : draws_) d = ctx_.share_prg().next_u64();
-        });
-    }
-
-    /// Joins and hands the draws to the context. Call after the nonlinear
-    /// layer completes; if an exception unwinds past instead, the
-    /// destructor just joins — the session is dead, the stream state
-    /// no longer matters.
-    void commit() {
-        if (!thread_.joinable()) return;
-        thread_.join();
-        ctx_.stash_mask_draws(std::move(draws_));
-    }
-
-    ~MaskPrefetch() {
-        if (thread_.joinable()) thread_.join();
-    }
-    MaskPrefetch(const MaskPrefetch&) = delete;
-    MaskPrefetch& operator=(const MaskPrefetch&) = delete;
-
-private:
-    mpc::PartyContext& ctx_;
-    std::vector<Ring> draws_;
-    std::thread thread_;
-};
-
 struct PartyRun {
     const std::vector<LayerPlan>& plan;
     const std::vector<LayerCache>& caches;  ///< compile-time HE precompute
@@ -230,20 +177,15 @@ struct PartyRun {
                         v = static_cast<Ring>(static_cast<std::int64_t>(v) >> fmt.frac_bits);
                     break;
                 }
-                case PlanOp::kRelu: {
-                    MaskPrefetch prefetch(ctx, plan, i);
+                case PlanOp::kRelu:
                     cur = reshare_canonical(ctx, mpc::secure_relu(ctx, cur, nonlinear));
-                    prefetch.commit();
                     break;
-                }
                 case PlanOp::kMaxPool: {
-                    MaskPrefetch prefetch(ctx, plan, i);
                     mpc::RingTensor t(p.in_shape, std::move(cur));
                     cur = reshare_canonical(
                         ctx,
                         mpc::secure_maxpool(ctx, t, p.pool_kernel, p.pool_stride, nonlinear)
                             .data);
-                    prefetch.commit();
                     break;
                 }
                 case PlanOp::kAvgPool:
@@ -332,11 +274,11 @@ void validate_client_input(const ModelArtifact& artifact, const Tensor& input) {
 }
 
 Tensor ClientSession::run(net::Transport& transport, const Tensor& input) const {
-    const ModelArtifact& art = *artifact_;
+    const ModelArtifact& art = model_->artifact();
     validate_client_input(art, input);
 
-    mpc::PartyContext ctx(transport, art.fmt, *bfv_, session_seed(config_));
-    if (gc_cache_ != nullptr) ctx.set_gc_cache(gc_cache_);
+    mpc::PartyContext ctx(transport, art.fmt, model_->bfv(), session_seed(config_));
+    ctx.set_gc_cache(&model_->gc_cache());
     ctx.set_pipeline(config_.pipeline);
     transport.set_pipelined_sends(config_.pipeline);
     transport.set_phase(net::Phase::kOffline);
@@ -353,7 +295,7 @@ Tensor ClientSession::run(net::Transport& transport, const Tensor& input) const 
         throw NonlinearMismatch(nonlinear, *config_.nonlinear);
     transport.set_phase(net::Phase::kOnline);
     crypto::ChaCha20Prg key_prg(crypto::Block128{config_.seed ^ 0x5E17, 0x11}, 3);
-    ctx.set_client_key(bfv_->keygen(key_prg));
+    ctx.set_client_key(model_->bfv().keygen(key_prg));
 
     // FSS preprocessing: receive the dealer's plan-sized key shipment.
     if (nonlinear == mpc::NonlinearBackend::kFss)
@@ -362,7 +304,7 @@ Tensor ClientSession::run(net::Transport& transport, const Tensor& input) const 
     std::vector<Ring> share(static_cast<std::size_t>(input.numel()));
     for (std::size_t i = 0; i < share.size(); ++i)
         share[i] = art.fmt.encode(input[static_cast<std::int64_t>(i)]);
-    const PartyRun runner{art.plan, *caches_, config_.backend, art.fmt, nonlinear};
+    const PartyRun runner{art.plan, model_->layer_caches(), config_.backend, art.fmt, nonlinear};
     share = runner.execute(ctx, std::move(share));
 
     Tensor logits;
@@ -421,10 +363,12 @@ PiStats stats_from_run(const net::RunResult& run) {
 PiResult run_private_inference(const CompiledModel& model, const SessionConfig& config,
                                const Tensor& input) {
     // Validate before spawning the parties: a bad input fails here, before
-    // the server has done any protocol work.
+    // the server has done any protocol work. The client compiles its
+    // public half from the artifact, as run_batch does, before the run.
     validate_client_input(model, input);
     const ServerSession server(model, config);
-    const ClientSession client(model, config);
+    const ClientModel client_model(model.artifact(), model.num_threads());
+    const ClientSession client(client_model, config);
 
     net::DuplexChannel channel;
     Tensor logits;

@@ -8,8 +8,7 @@
 /// each drive their own side of a `net::Transport`. The server borrows
 /// an immutable `CompiledModel` (weights + HE precompute); the client
 /// borrows only the **public** half — a `ClientModel` compiled from a
-/// `ModelArtifact`, or the artifact view embedded in a CompiledModel for
-/// in-process runs. Per-inference state (PRG, OT extension, client HE
+/// `ModelArtifact`. Per-inference state (PRG, OT extension, client HE
 /// key) lives inside the run() call, so one session object can serve any
 /// number of concurrent runs.
 ///
@@ -36,8 +35,8 @@ namespace c2pi::pi {
 [[nodiscard]] bool pipeline_default();
 
 /// Per-connection protocol parameters. Both parties of a session must
-/// agree on all fields (the seed feeds the trusted-dealer base-OT
-/// substitution, DESIGN.md §4).
+/// agree on all fields but `pipeline`: the seed derives both parties'
+/// base OTs and PRGs (mpc::PartyContext), so it is shared, not secret.
 struct SessionConfig {
     PiBackend backend = PiBackend::kCheetah;
     /// Uniform noise magnitude the client adds to its revealed share
@@ -51,11 +50,10 @@ struct SessionConfig {
     /// differs raises NonlinearMismatch instead of hanging mid-protocol.
     std::optional<mpc::NonlinearBackend> nonlinear;
     /// Compute/communication overlap (docs/PROTOCOL.md §10): pipelined
-    /// transport sends, chunked HE response streaming, and cross-layer
-    /// mask prefetch. Purely local scheduling — wire bytes, frame order,
-    /// and logits are bit-identical either way, so the two parties need
-    /// NOT agree on this field. Default on; C2PI_PIPELINE=0 forces it off
-    /// (see pipeline_default).
+    /// transport sends and chunked HE response streaming. Purely local
+    /// scheduling — wire bytes, frame order, and logits are bit-identical
+    /// either way, so the two parties need NOT agree on this field.
+    /// Default on; C2PI_PIPELINE=0 forces it off (see pipeline_default).
     bool pipeline = pipeline_default();
 };
 
@@ -96,38 +94,20 @@ private:
 /// never contain any.
 class ClientSession {
 public:
-    /// The deployed form: a weightless client compiled from a (typically
-    /// wire-received) artifact.
+    /// Borrows a weightless client compiled from a (typically
+    /// wire-received) artifact; `model` must outlive the session.
     ClientSession(const ClientModel& model, SessionConfig config)
-        : artifact_(&model.artifact()),
-          bfv_(&model.bfv()),
-          caches_(&model.layer_caches()),
-          gc_cache_(&model.gc_cache()),
-          config_(config) {}
-
-    /// In-process convenience: borrow the public half of a server-side
-    /// CompiledModel (its artifact, BFV context and the encoder geometry
-    /// of its caches — the weight plaintexts next to them are never read
-    /// by client code).
-    ClientSession(const CompiledModel& model, SessionConfig config)
-        : artifact_(&model.artifact()),
-          bfv_(&model.bfv()),
-          caches_(&model.layer_caches()),
-          gc_cache_(&model.gc_cache()),
-          config_(config) {}
+        : model_(&model), config_(config) {}
 
     /// Run one private inference on a [1,C,H,W] input matching the
     /// artifact's input shape; returns the logits [1, classes].
     [[nodiscard]] Tensor run(net::Transport& transport, const Tensor& input) const;
 
-    [[nodiscard]] const ModelArtifact& artifact() const { return *artifact_; }
+    [[nodiscard]] const ModelArtifact& artifact() const { return model_->artifact(); }
     [[nodiscard]] const SessionConfig& config() const { return config_; }
 
 private:
-    const ModelArtifact* artifact_;
-    const he::BfvContext* bfv_;
-    const std::vector<LayerCache>* caches_;
-    mpc::GcCircuitCache* gc_cache_;
+    const ClientModel* model_;
     SessionConfig config_;
 };
 

@@ -88,25 +88,21 @@ TEST(ArtifactCodec, RejectsBadMagic) {
 }
 
 TEST(ArtifactCodec, RejectsVersionMismatch) {
-    auto bytes = demo_artifact().serialize();
-    bytes[4] = 3;  // version u16 lives right after the 4-byte magic; 1 and 2 are supported
-    try {
-        (void)ModelArtifact::deserialize(bytes);
-        FAIL() << "future codec version must throw";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+    // The version u16 lives right after the 4-byte magic; only 2 is
+    // supported, so the retired version 1 fails like a future version 3.
+    for (const std::uint8_t version : {1, 3}) {
+        auto bytes = demo_artifact().serialize();
+        bytes[4] = version;
+        try {
+            (void)ModelArtifact::deserialize(bytes);
+            FAIL() << "codec version " << int{version} << " must throw";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+        }
     }
 }
 
 // -------------------------------------------------------- v2 (DAG) codec ---
-
-TEST(ArtifactCodecV2, ChainPlansStillEmitVersion1) {
-    // The pre-DAG wire format is load-bearing: sequential models must
-    // keep producing byte-identical v1 artifacts after the Graph refactor.
-    const auto bytes = demo_artifact().serialize();
-    EXPECT_EQ(bytes[4], 1);  // version u16 LE after the 4-byte magic
-    EXPECT_EQ(bytes[5], 0);
-}
 
 TEST(ArtifactCodecV2, DagRoundTripIsByteStable) {
     const ModelArtifact artifact = resnet_artifact();
@@ -129,17 +125,6 @@ TEST(ArtifactCodecV2, RejectsEveryTruncation) {
                          std::span<const std::uint8_t>(bytes.data(), len)),
                      Error)
             << "prefix of " << len << " bytes must not decode";
-    }
-}
-
-TEST(ArtifactCodecV2, V1BytesSynthesizeChainEdges) {
-    // A v1 payload (no edge fields on the wire) must decode to the
-    // canonical chain edges so old artifacts keep working unchanged.
-    const auto bytes = demo_artifact().serialize();
-    const ModelArtifact back = ModelArtifact::deserialize(bytes);
-    for (std::size_t i = 0; i < back.plan.size(); ++i) {
-        EXPECT_EQ(back.plan[i].input0, static_cast<std::int64_t>(i) - 1);
-        EXPECT_EQ(back.plan[i].input1, -1);
     }
 }
 

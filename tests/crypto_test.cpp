@@ -266,30 +266,6 @@ TEST(ChosenOt, TransfersSelectedBlocks) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], choices[i] ? m1[i] : m0[i]);
 }
 
-TEST(CorrelatedOt, AdditiveCorrelationHolds) {
-    OtFixture fx;
-    const std::size_t n = 128;
-    std::vector<Ring> deltas(n);
-    for (std::size_t i = 0; i < n; ++i) deltas[i] = 0x1111 * (i + 1);
-    std::vector<std::uint8_t> choices(n);
-    for (std::size_t i = 0; i < n; ++i) choices[i] = (i * 3) % 2;
-    std::vector<Ring> sender_share, receiver_share;
-    net::run_two_party(
-        fx.channel,
-        [&](net::Transport& t) {
-            IknpSender ext(fx.setup.sender);
-            sender_share = cot_send(t, ext, deltas);
-        },
-        [&](net::Transport& t) {
-            IknpReceiver ext(fx.setup.receiver);
-            receiver_share = cot_recv(t, ext, choices);
-        });
-    for (std::size_t i = 0; i < n; ++i) {
-        const Ring want = sender_share[i] + (choices[i] ? deltas[i] : 0);
-        EXPECT_EQ(receiver_share[i], want) << i;
-    }
-}
-
 TEST(OneOfNOt, DeliversChosenByte) {
     const std::size_t groups = 50;
     for (const std::size_t options : {2, 4, 8, 16}) {

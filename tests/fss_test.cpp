@@ -1,11 +1,11 @@
 // Unit and integration tests for the FSS comparison subsystem
 // (src/fss/): the DCF primitive against a plaintext comparison oracle
 // (single keys and ragged tiled batches), the interval-containment ReLU
-// material, the dealt key bytes against pinned digests, the KEYS-frame
-// batch codec and the client's schedule check, and the kFss backend at
-// the session layer — cross-backend logit
-// parity (bit-identical vs GC and OT), the preprocessing traffic
-// bucket, and the typed NonlinearMismatch negotiation error. The
+// material, the dealt key bytes against pinned digests, the key record
+// codec, the client's schedule check and the one-batch key pool, and the
+// kFss backend at the session layer — cross-backend logit parity
+// (bit-identical vs GC and OT), the preprocessing traffic bucket, and
+// the typed NonlinearMismatch negotiation error. The
 // secure_relu/secure_maxpool protocol-level coverage lives in
 // mpc_test.cpp (kFss is a parameterization there); TCP-transport parity
 // for kFss lives next to the other transport parity cases in
@@ -164,19 +164,52 @@ TEST(FssRelu, MaterialEvaluatesToReluOverSignedBoundaryValues) {
     }
 }
 
-TEST(FssRelu, BatchCodecRoundTripsAndRejectsTruncation) {
+/// KEYS-frame payload: the records back to back, serialize_into each.
+std::vector<std::uint8_t> encode_records(std::span<const ReluKeyShare> keys) {
+    std::vector<std::uint8_t> out(keys.size() * ReluKeyShare::kSerializedBytes);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i].serialize_into(out.data() + i * ReluKeyShare::kSerializedBytes);
+    return out;
+}
+
+TEST(FssRelu, RecordCodecRoundTripsBitExactly) {
     crypto::ChaCha20Prg prg(crypto::Block128{0xBA7C, 0x2}, 5);
     std::vector<ReluKeyShare> batch;
     for (int i = 0; i < 3; ++i) batch.push_back(gen_relu_material(prg).client);
 
-    const std::vector<std::uint8_t> bytes = serialize_batch(batch);
+    const std::vector<std::uint8_t> bytes = encode_records(batch);
     ASSERT_EQ(bytes.size(), 3 * ReluKeyShare::kSerializedBytes);
-    const std::vector<ReluKeyShare> back = deserialize_batch(bytes);
-    ASSERT_EQ(back.size(), batch.size());
-    EXPECT_EQ(serialize_batch(back), bytes);
+    std::vector<ReluKeyShare> back;
+    for (std::size_t off = 0; off < bytes.size(); off += ReluKeyShare::kSerializedBytes)
+        back.push_back(ReluKeyShare::deserialize(bytes.data() + off));
+    EXPECT_EQ(encode_records(back), bytes);
+}
 
-    std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
-    EXPECT_THROW((void)deserialize_batch(truncated), Error);
+/// A session deals once: the pool holds one batch, refuses a second
+/// while keys remain, and refuses to hand out keys it does not hold.
+TEST(FssKeyPool, HoldsOneBatchAndRefusesToOverdraw) {
+    crypto::ChaCha20Prg prg(crypto::Block128{0x9001, 0x1}, 9);
+    std::vector<ReluKeyShare> batch;
+    for (int i = 0; i < 3; ++i) batch.push_back(gen_relu_material(prg).server);
+    const std::vector<std::uint8_t> bytes = encode_records(batch);
+
+    KeyPool pool;
+    pool.push(batch);
+    EXPECT_EQ(pool.size(), 3U);
+    EXPECT_THROW(pool.push(batch), Error);
+    EXPECT_EQ(pool.size(), 3U);
+
+    const std::span<const ReluKeyShare> first = pool.take(2);
+    EXPECT_EQ(encode_records(first),
+              std::vector<std::uint8_t>(bytes.begin(),
+                                        bytes.begin() + 2 * ReluKeyShare::kSerializedBytes));
+    EXPECT_THROW((void)pool.take(2), Error);
+    EXPECT_EQ(pool.size(), 1U);
+    EXPECT_EQ(encode_records(pool.take(1)),
+              std::vector<std::uint8_t>(bytes.begin() + 2 * ReluKeyShare::kSerializedBytes,
+                                        bytes.end()));
+    EXPECT_EQ(pool.size(), 0U);
+    EXPECT_THROW((void)pool.take(1), Error);
 }
 
 std::string sha256_hex(std::span<const std::uint8_t> bytes) {
@@ -204,8 +237,7 @@ TEST(FssRelu, DealtKeysMatchPinnedDigests) {
             crypto::ChaCha20Prg prg(crypto::Block128{0x601D'E11, 0x257}, 18);
             KeyPool pool;
             dealer_replenish(t, prg, pool, kCount);
-            const KeyPool::Run run = pool.take(kCount);
-            server_halves = serialize_batch({run.keys.begin(), run.keys.end()});
+            server_halves = encode_records(pool.take(kCount));
         },
         [&](net::Transport& t) { payload = t.recv_keys_bytes(); });
     ASSERT_EQ(payload.size(), kCount * ReluKeyShare::kSerializedBytes);
@@ -251,7 +283,7 @@ TEST(FssRelu, ClientRejectsKeysFrameOffSchedule) {
                     std::vector<ReluKeyShare> halves;
                     for (std::size_t i = 0; i < shipped; ++i)
                         halves.push_back(gen_relu_material(prg).client);
-                    t.send_keys_bytes(serialize_batch(halves));
+                    t.send_keys_bytes(encode_records(halves));
                 },
                 [&](net::Transport& t) { client_replenish(t, pool, kScheduled); });
             ADD_FAILURE() << "client pooled " << shipped << " records against a schedule of "
@@ -373,7 +405,8 @@ TEST(FssSession, MismatchedClientRaisesTypedError) {
     // otherwise hang mid-protocol).
     pi::SessionConfig client_config;
     client_config.nonlinear = mpc::NonlinearBackend::kGarbledCircuit;
-    const pi::ClientSession client(compiled, client_config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, client_config);
 
     net::DuplexChannel channel;
     EXPECT_THROW(
@@ -393,7 +426,8 @@ TEST(FssSession, UnknownAnnouncedBackendRejected) {
     const pi::CompiledModel compiled(model, fss_compile_options(/*full_pi=*/true));
     const Tensor input = make_fss_test_input();
 
-    const pi::ClientSession client(compiled, pi::SessionConfig{});
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, pi::SessionConfig{});
     net::DuplexChannel channel;
     EXPECT_THROW((void)net::run_two_party(
                      channel,

@@ -67,7 +67,6 @@ TEST_F(KernelsTest, DispatchListSane) {
         EXPECT_NE(k->ntt_inverse, nullptr);
         EXPECT_NE(k->mul_shoup, nullptr);
         EXPECT_NE(k->mul_shoup_accumulate, nullptr);
-        EXPECT_NE(k->fold_delta, nullptr);
         EXPECT_NE(k->mod_switch_4to2, nullptr);
         EXPECT_NE(k->chacha20_blocks, nullptr);
         EXPECT_NE(k->chacha20_seeded_blocks, nullptr);
@@ -152,36 +151,6 @@ TEST_F(KernelsTest, MulShoupAccumulateBitIdenticalIncludingTails) {
         for (const auto* k : kernels::supported()) {
             std::vector<u64> got = acc0;
             k->mul_shoup_accumulate(got.data(), a.data(), w.data(), ws.data(), n, p);
-            ASSERT_EQ(got, ref) << "variant " << k->name << " n=" << n;
-        }
-    }
-}
-
-TEST_F(KernelsTest, FoldDeltaBitIdenticalIncludingSignedEdges) {
-    std::mt19937_64 rng(0xC2B1'0005);
-    const u64 p = test_prime(4096);
-    const u64 one_shoup = c2pi::he::reduce_precompute(p);
-    const u64 delta = rng() % p;
-    const u64 delta_shoup = c2pi::he::shoup_precompute(delta, p);
-    for (std::size_t n = 1; n <= 33; ++n) {
-        std::vector<u64> plain(n);
-        for (auto& x : plain) {
-            // Signed-lift edges: INT64_MIN is a legal ring element whose
-            // magnitude must be computed without signed overflow.
-            switch (rng() % 5) {
-                case 0: x = 0x8000000000000000ULL; break;          // INT64_MIN
-                case 1: x = 0x7FFFFFFFFFFFFFFFULL; break;          // INT64_MAX
-                case 2: x = u64{0} - (rng() % (2 * p)); break;     // small negatives
-                default: x = rng(); break;
-            }
-        }
-        const std::vector<u64> c0 = boundary_biased(rng, n, p, p);
-        std::vector<u64> ref = c0;
-        kernels::scalar_kernels()->fold_delta(ref.data(), plain.data(), n, p, one_shoup,
-                                              delta, delta_shoup);
-        for (const auto* k : kernels::supported()) {
-            std::vector<u64> got = c0;
-            k->fold_delta(got.data(), plain.data(), n, p, one_shoup, delta, delta_shoup);
             ASSERT_EQ(got, ref) << "variant " << k->name << " n=" << n;
         }
     }

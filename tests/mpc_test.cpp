@@ -8,6 +8,8 @@
 #include <cstring>
 
 #include "core/rng.hpp"
+#include "fss/compare.hpp"
+#include "fss/key_pool.hpp"
 #include "mpc/linear.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "mpc/nonlinear.hpp"
@@ -37,6 +39,17 @@ struct MpcFixture {
                 ctx.set_client_key(bfv.keygen(key_prg));
                 client_body(ctx);
             });
+    }
+
+    /// kFss layers take keys a session deals before its layer walk: deal
+    /// `comparisons` of them the same way (no-op for other backends).
+    static void deal_fss_keys(PartyContext& ctx, NonlinearBackend backend,
+                              std::size_t comparisons) {
+        if (backend != NonlinearBackend::kFss) return;
+        if (ctx.is_server())
+            fss::dealer_replenish(ctx.transport(), ctx.prg(), ctx.fss_pool(), comparisons);
+        else
+            fss::client_replenish(ctx.transport(), ctx.fss_pool(), comparisons);
     }
 };
 
@@ -158,8 +171,15 @@ TEST_P(SecureReluTest, MatchesPlaintextRelu) {
     }
     auto [s0, s1] = make_shares(values, 9);
     std::vector<Ring> z0, z1;
-    fx.run([&](PartyContext& ctx) { z0 = secure_relu(ctx, s0, backend); },
-           [&](PartyContext& ctx) { z1 = secure_relu(ctx, s1, backend); });
+    fx.run(
+        [&](PartyContext& ctx) {
+            MpcFixture::deal_fss_keys(ctx, backend, n);
+            z0 = secure_relu(ctx, s0, backend);
+        },
+        [&](PartyContext& ctx) {
+            MpcFixture::deal_fss_keys(ctx, backend, n);
+            z1 = secure_relu(ctx, s1, backend);
+        });
     for (std::size_t i = 0; i < n; ++i) {
         const double want = plain[i] > 0 ? plain[i] : 0.0;
         EXPECT_NEAR(fx.fmt.decode(z0[i] + z1[i]), want, 2.0 / fx.fmt.scale()) << i;
@@ -170,30 +190,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, SecureReluTest,
                          ::testing::Values(NonlinearBackend::kGarbledCircuit,
                                            NonlinearBackend::kOtMillionaire,
                                            NonlinearBackend::kFss));
-
-TEST(SecureRelu, GcBackendHonoursPinnedClientShare) {
-    MpcFixture fx;
-    c2pi::Rng rng(10);
-    const std::size_t n = 16;
-    std::vector<Ring> values(n);
-    for (std::size_t i = 0; i < n; ++i) values[i] = fx.fmt.encode(rng.uniform(-5.0F, 5.0F));
-    auto [s0, s1] = make_shares(values, 11);
-    std::vector<Ring> pinned(n);
-    for (std::size_t i = 0; i < n; ++i) pinned[i] = 0x1000 + i;
-    std::vector<Ring> z0, z1;
-    fx.run(
-        [&](PartyContext& ctx) {
-            z0 = secure_relu(ctx, s0, NonlinearBackend::kGarbledCircuit);
-        },
-        [&](PartyContext& ctx) {
-            z1 = secure_relu(ctx, s1, NonlinearBackend::kGarbledCircuit, pinned);
-        });
-    EXPECT_EQ(z1, pinned);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double want = std::max(fx.fmt.decode(values[i]), 0.0);
-        EXPECT_NEAR(fx.fmt.decode(z0[i] + z1[i]), want, 2.0 / fx.fmt.scale());
-    }
-}
 
 class SecureMaxPoolTest : public ::testing::TestWithParam<NonlinearBackend> {};
 
@@ -211,12 +207,16 @@ TEST_P(SecureMaxPoolTest, MatchesPlaintextMaxPool) {
         rx.data[static_cast<std::size_t>(i)] = fx.fmt.encode(x[i]);
     auto [s0, s1] = make_shares(rx.data, 13);
 
+    // Three pairwise maxes per 2x2 window, one comparison each.
+    const std::size_t comparisons = static_cast<std::size_t>(c * 3 * 3) * 3;
     RingTensor z0, z1;
     fx.run(
         [&](PartyContext& ctx) {
+            MpcFixture::deal_fss_keys(ctx, backend, comparisons);
             z0 = secure_maxpool(ctx, RingTensor({c, h, w}, s0), 2, 2, backend);
         },
         [&](PartyContext& ctx) {
+            MpcFixture::deal_fss_keys(ctx, backend, comparisons);
             z1 = secure_maxpool(ctx, RingTensor({c, h, w}, s1), 2, 2, backend);
         });
     ASSERT_EQ(z0.shape, (Shape{c, 3, 3}));

@@ -306,7 +306,8 @@ SessionTranscript run_full_session(const he::kernels::Kernels* forced, pi::PiBac
     pi::SessionConfig config{.backend = backend, .seed = 5150};
     config.nonlinear = nonlinear;
     const pi::ServerSession server(compiled, config);
-    const pi::ClientSession client(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
     Rng rng(400);
     const Tensor input = Tensor::uniform({1, 3, 16, 16}, rng, 0.0F, 1.0F);
 
@@ -379,7 +380,8 @@ TEST(SessionThreadParity, MultiThreadArtifactOverTcpMatchesInProc) {
     const pi::PiResult reference = pi::run_private_inference(compiled, config, input);
 
     const pi::ServerSession server(compiled, config);
-    const pi::ClientSession client(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
     net::TcpListener listener(/*port=*/0);
     net::ChannelStats client_stats;
     Tensor logits;

@@ -1,8 +1,8 @@
 // Pipelined-online-phase parity suite (compute/communication overlap):
-// the tentpole claim is that pipelining is pure *scheduling* — chunked
-// HE response streaming, the transport's writer-thread send queue, and
-// the cross-layer mask prefetch change WHEN work happens, never what
-// goes on the wire. Pinned here at three levels:
+// the claim is that pipelining is pure *scheduling* — chunked HE
+// response streaming and the transport's writer-thread send queue
+// change WHEN work happens, never what goes on the wire. Pinned here at
+// three levels:
 //
 //  * session (in-process): pipeline on vs off across the full
 //    {gc,ot,fss} x {Cheetah, Delphi, full-PI} matrix — bit-identical
@@ -122,7 +122,8 @@ SessionTranscript run_session(const pi::CompiledModel& compiled, pi::SessionConf
                               const Tensor& input, bool pipeline) {
     config.pipeline = pipeline;
     const pi::ServerSession server(compiled, config);
-    const pi::ClientSession client(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
     SessionTranscript tr;
     net::DuplexChannel channel;
     (void)net::run_two_party(
@@ -276,7 +277,8 @@ TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
 
     config.pipeline = true;
     const pi::ServerSession server(compiled, config);
-    const pi::ClientSession client(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
     net::TcpListener listener(/*port=*/0);
     std::exception_ptr server_error;
     std::thread server_thread([&] {

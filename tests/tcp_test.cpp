@@ -177,6 +177,23 @@ TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
         [](TcpTransport& t) { t.refuse_busy(); });
 }
 
+/// PROTOCOL.md §4: an FSS session carries exactly one KEYS frame, right
+/// after the backend announcement. A KEYS frame where the protocol
+/// expects DATA is a violation on either transport, never DATA bytes.
+TEST(TcpTransport, KeysFrameWhereDataExpectedIsRejected) {
+    (void)run_loopback(
+        [](Transport& t) { t.send_keys_bytes(std::vector<std::uint8_t>{1, 2, 3}); },
+        [](Transport& t) { EXPECT_THROW((void)t.recv_bytes(), Error); });
+}
+
+TEST(InProcTransport, KeysMessageWhereDataExpectedIsRejected) {
+    DuplexChannel channel;
+    InProcTransport server(channel, 0);
+    InProcTransport client(channel, 1);
+    server.send_keys_bytes(std::vector<std::uint8_t>{1, 2, 3});
+    EXPECT_THROW((void)client.recv_bytes(), Error);
+}
+
 /// Connect to `port` with a raw socket, send `hello` as the handshake,
 /// then drain until the listener closes the connection.
 void raw_hello_peer(std::uint16_t port, const std::uint8_t (&hello)[kHandshakeSize]) {
@@ -243,7 +260,8 @@ void check_tcp_parity(bool full_pi, pi::SessionConfig config) {
     const pi::PiResult reference = pi::run_private_inference(compiled, config, input);
 
     const pi::ServerSession server(compiled, config);
-    const pi::ClientSession client(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
     Tensor logits;
     const auto run = run_loopback([&](Transport& t) { server.run(t); },
                                   [&](Transport& t) { logits = client.run(t, input); });
