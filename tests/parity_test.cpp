@@ -11,12 +11,17 @@
 //    Cheetah / Delphi / full-PI / crypto-clear-with-noise;
 //  * transport: the multi-thread artifact over real loopback TCP vs the
 //    in-process DuplexChannel — same logits, same per-phase accounting.
+//
+// Pinned SHA-256 digests of the HE linear transcripts (MpcLinearDigest)
+// tie those paths to fixed bytes, so a rewrite of the protocol body must
+// reproduce the wire exactly.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "core/rng.hpp"
+#include "crypto/hash.hpp"
 #include "he/kernels.hpp"
 #include "mpc/linear.hpp"
 #include "net/runtime.hpp"
@@ -207,6 +212,91 @@ TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
         EXPECT_EQ(got, expect[static_cast<std::size_t>(o)] + bias[static_cast<std::size_t>(o)])
             << "row " << o;
     }
+}
+
+// ------------------------------------------------------ transcript digests ---
+// The parity cases above compare two paths of one build. These pin the HE
+// linear transcript itself, so a refactor of the protocol can be checked
+// byte-for-byte against the code it replaced: per party, SHA-256 over
+// every payload it sent (an 8-byte little-endian length, then the bytes),
+// followed by its output shares.
+
+std::string party_digest(const std::vector<std::vector<std::uint8_t>>& sent,
+                         const std::vector<Ring>& out) {
+    crypto::Sha256 h;
+    const auto put_u64 = [&](std::uint64_t v) {
+        std::uint8_t le[8];
+        for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        h.update(le);
+    };
+    for (const auto& payload : sent) {
+        put_u64(payload.size());
+        h.update(payload);
+    }
+    for (const Ring v : out) put_u64(v);
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string hex;
+    for (const std::uint8_t b : h.finish()) {
+        hex += kHex[b >> 4];
+        hex += kHex[b & 15];
+    }
+    return hex;
+}
+
+void expect_digests(const Transcript& tr, const char* server, const char* client) {
+    EXPECT_EQ(party_digest(tr.server_sent, tr.server_out), server) << "server transcript";
+    EXPECT_EQ(party_digest(tr.client_sent, tr.client_out), client) << "client transcript";
+}
+
+Transcript run_conv(const he::ConvGeometry& geo, bool with_bias, std::uint64_t data_seed) {
+    const auto w = random_ring(
+        static_cast<std::size_t>(geo.out_channels * geo.in_channels * geo.kernel * geo.kernel),
+        data_seed);
+    const auto bias =
+        with_bias ? random_ring(static_cast<std::size_t>(geo.out_channels), data_seed + 1)
+                  : std::vector<Ring>{};
+    const auto numel = static_cast<std::size_t>(geo.in_channels * geo.height * geo.width);
+    const auto x0 = random_ring(numel, data_seed + 2);
+    const auto x1 = random_ring(numel, data_seed + 3);
+    const he::BfvContext bfv({.n = 1024, .limbs = 4, .noise_bound = 4});
+    const mpc::ConvLayerCache cache(bfv, geo, w, bias);
+    return run_recorded(
+        bfv, [&](mpc::PartyContext& ctx) { return mpc::he_conv_server(ctx, cache, x0); },
+        [&](mpc::PartyContext& ctx) { return mpc::he_conv_client(ctx, cache.enc, x1); });
+}
+
+TEST(MpcLinearDigest, ConvTwoInputGroups) {
+    const auto tr = run_conv({.in_channels = 12, .height = 8, .width = 8, .out_channels = 3,
+                              .kernel = 3, .stride = 1, .pad = 1},
+                             /*with_bias=*/true, 1);
+    expect_digests(tr,
+                   "01e86471209205a49cfc4a73366649e13af70758ac9a270506fe60ff93c6e82e",
+                   "4330a89f45cefd118838636549fb800fdd00ece22d19d8d0925a6ee44bbc9421");
+}
+
+TEST(MpcLinearDigest, ConvStride2NoPadNoBias) {
+    const auto tr = run_conv({.in_channels = 5, .height = 9, .width = 9, .out_channels = 4,
+                              .kernel = 3, .stride = 2, .pad = 0},
+                             /*with_bias=*/false, 9);
+    expect_digests(tr,
+                   "047b1162c1c4cb2b2dc0ce09d92e9ee201f1824d2717f65e544d5f832356132e",
+                   "9ff5ede0ea29aac6e2ac826d0c6442b2fb3fe52445b07246fb25ed162efcf17f");
+}
+
+TEST(MpcLinearDigest, MatvecPartialLastBlock) {
+    const std::int64_t in = 96, out = 25;  // 10 rows/block, 3 blocks (last partial)
+    const auto w = random_ring(static_cast<std::size_t>(in * out), 5);
+    const auto bias = random_ring(static_cast<std::size_t>(out), 6);
+    const auto x0 = random_ring(static_cast<std::size_t>(in), 7);
+    const auto x1 = random_ring(static_cast<std::size_t>(in), 8);
+    const he::BfvContext bfv({.n = 1024, .limbs = 4, .noise_bound = 4});
+    const mpc::MatVecLayerCache cache(bfv, in, out, w, bias);
+    const auto tr = run_recorded(
+        bfv, [&](mpc::PartyContext& ctx) { return mpc::he_matvec_server(ctx, cache, x0); },
+        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_client(ctx, cache.enc, x1); });
+    expect_digests(tr,
+                   "3431c933ba313339ee3ab0d43a7ceb7830833153cffdbfa2e93d4861f65d9c6b",
+                   "e108a454374984e3ffb670e11838b83dedd503591024c4bf4102112a3af5e753");
 }
 
 // ----------------------------------------------------- session-level parity ---
