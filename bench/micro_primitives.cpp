@@ -97,6 +97,32 @@ void BM_BfvMultiplyPlainAccumulatePrecomputed(benchmark::State& state) {
 }
 BENCHMARK(BM_BfvMultiplyPlainAccumulatePrecomputed)->Arg(4096);
 
+/// The client's side of a linear layer up to the wire: its input packed
+/// at the layout's slots, encrypted, and NTT'd the way the server holds
+/// it after receiving.
+std::vector<he::Ciphertext> encrypt_layout_inputs(const he::BfvContext& ctx,
+                                                  const he::LinearLayout& layout,
+                                                  std::span<const Ring> x, const he::SecretKey& sk,
+                                                  crypto::ChaCha20Prg& prg) {
+    const std::vector<Ring> polys = layout.pack_inputs(x, ctx.n());
+    std::vector<he::Ciphertext> cts;
+    for (std::int64_t g = 0; g < layout.inputs; ++g) {
+        he::Ciphertext ct = ctx.encrypt(
+            std::span(polys).subspan(static_cast<std::size_t>(g) * ctx.n(), ctx.n()), sk, prg);
+        ctx.to_ntt(ct);
+        cts.push_back(std::move(ct));
+    }
+    return cts;
+}
+
+/// Fold response r's masks into its output coefficients.
+void add_response_masks(const he::BfvContext& ctx, const he::LinearLayout& layout,
+                        std::int64_t r, std::span<const Ring> masks, he::Ciphertext& acc) {
+    const auto [begin, end] = layout.response_range(r);
+    ctx.add_plain_at(acc, std::span(layout.output_coeff).subspan(begin, end - begin),
+                     masks.subspan(begin, end - begin));
+}
+
 /// The server-side online hot loop of the HE conv protocol, per request:
 /// everything between "input ciphertexts are in NTT form" and "responses
 /// ready to ship", over the compiled PlainNtt cache (the CompiledModel
@@ -113,7 +139,6 @@ void BM_HeConvServerOnline(benchmark::State& state) {
                                .kernel = 3,
                                .stride = 1,
                                .pad = 1};
-    const he::ConvEncoder enc(ctx, geo);
     Rng rng(21);
     const FixedPointFormat fmt{.frac_bits = 16};
     std::vector<Ring> w(static_cast<std::size_t>(geo.out_channels * geo.in_channels * geo.kernel *
@@ -122,34 +147,32 @@ void BM_HeConvServerOnline(benchmark::State& state) {
     std::vector<Ring> x(static_cast<std::size_t>(geo.in_channels * geo.height * geo.width));
     for (auto& v : x) v = fmt.encode(rng.uniform(-1.0F, 1.0F));
 
+    const mpc::ConvLayerCache cache(ctx, geo, w, {});
+    const he::LinearLayout& layout = cache.layout();
     crypto::ChaCha20Prg prg(crypto::Block128{5, 6});
     const auto sk = ctx.keygen(prg);
-    std::vector<he::Ciphertext> input_cts;
-    for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
-        he::Ciphertext ct = ctx.encrypt(enc.encode_input_group(x, g), sk, prg);
-        ctx.to_ntt(ct);
-        input_cts.push_back(std::move(ct));
-    }
-    const std::int64_t out_pixels = geo.out_h() * geo.out_w();
-    std::vector<Ring> mask(static_cast<std::size_t>(out_pixels));
+    const std::vector<he::Ciphertext> input_cts = encrypt_layout_inputs(ctx, layout, x, sk, prg);
+    std::vector<Ring> mask(layout.output_coeff.size());
     for (auto& v : mask) v = rng.next_u64();
 
-    const mpc::ConvLayerCache cache(ctx, geo, w, {});
     for (auto _ : state) {
-        for (std::int64_t o = 0; o < geo.out_channels; ++o) {
+        for (std::int64_t o = 0; o < layout.responses(); ++o) {
             he::Ciphertext acc;
-            ctx.multiply_plain(input_cts[0], cache.weight_ntt(0, o), acc);
-            for (std::int64_t g = 1; g < enc.num_groups(); ++g)
-                ctx.multiply_plain_accumulate(input_cts[static_cast<std::size_t>(g)],
-                                              cache.weight_ntt(g, o), acc);
+            const auto w_ntt = [&](std::int64_t g) -> const he::PlainNtt& {
+                return cache.w_ntt[static_cast<std::size_t>(o * layout.inputs + g)];
+            };
+            ctx.multiply_plain(input_cts[0], w_ntt(0), acc);
+            for (std::int64_t g = 1; g < layout.inputs; ++g)
+                ctx.multiply_plain_accumulate(input_cts[static_cast<std::size_t>(g)], w_ntt(g),
+                                              acc);
             ctx.from_ntt(acc);
-            ctx.add_plain_at(acc, cache.scatter_idx, mask);
+            add_response_masks(ctx, layout, o, mask, acc);
             ctx.mod_switch_to_two_limbs(acc);
             benchmark::DoNotOptimize(acc.c0.limbs[0].data());
         }
     }
     state.counters["out_channels"] = static_cast<double>(geo.out_channels);
-    state.counters["groups"] = static_cast<double>(enc.num_groups());
+    state.counters["groups"] = static_cast<double>(layout.inputs);
 }
 // Registered as /1, the name its committed baseline entry carries.
 BENCHMARK(BM_HeConvServerOnline)->Arg(1)->Unit(benchmark::kMillisecond);
@@ -161,7 +184,6 @@ void BM_HeMatvecServerOnline(benchmark::State& state) {
         core::resolve_thread_count(0) > 1 ? std::make_unique<core::ThreadPool>(0) : nullptr;
     const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4, .pool = pool.get()});
     const std::int64_t in = 1024, out = 8;
-    const he::MatVecEncoder enc(ctx, in, out);
     Rng rng(22);
     const FixedPointFormat fmt{.frac_bits = 16};
     std::vector<Ring> w(static_cast<std::size_t>(in * out));
@@ -169,25 +191,25 @@ void BM_HeMatvecServerOnline(benchmark::State& state) {
     std::vector<Ring> x(static_cast<std::size_t>(in));
     for (auto& v : x) v = fmt.encode(rng.uniform(-1.0F, 1.0F));
 
+    const mpc::MatVecLayerCache cache(ctx, in, out, w, {});
+    const he::LinearLayout& layout = cache.layout();
     crypto::ChaCha20Prg prg(crypto::Block128{7, 8});
     const auto sk = ctx.keygen(prg);
-    he::Ciphertext input_ct = ctx.encrypt(enc.encode_input(x), sk, prg);
-    ctx.to_ntt(input_ct);
-    std::vector<Ring> mask(static_cast<std::size_t>(enc.outs_per_block()));
+    const std::vector<he::Ciphertext> input_cts = encrypt_layout_inputs(ctx, layout, x, sk, prg);
+    std::vector<Ring> mask(layout.output_coeff.size());
     for (auto& v : mask) v = rng.next_u64();
 
-    const mpc::MatVecLayerCache cache(ctx, in, out, w, {});
     for (auto _ : state) {
-        for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
+        for (std::int64_t b = 0; b < layout.responses(); ++b) {
             he::Ciphertext acc;
-            ctx.multiply_plain(input_ct, cache.w_ntt[static_cast<std::size_t>(b)], acc);
+            ctx.multiply_plain(input_cts[0], cache.w_ntt[static_cast<std::size_t>(b)], acc);
             ctx.from_ntt(acc);
-            ctx.add_plain_at(acc, cache.scatter_idx[static_cast<std::size_t>(b)], mask);
+            add_response_masks(ctx, layout, b, mask, acc);
             ctx.mod_switch_to_two_limbs(acc);
             benchmark::DoNotOptimize(acc.c0.limbs[0].data());
         }
     }
-    state.counters["blocks"] = static_cast<double>(enc.num_blocks());
+    state.counters["blocks"] = static_cast<double>(layout.responses());
 }
 // Registered as /1, the name its committed baseline entry carries.
 BENCHMARK(BM_HeMatvecServerOnline)->Arg(1)->Unit(benchmark::kMillisecond);

@@ -165,185 +165,118 @@ void emit_responses(PartyContext& ctx, std::int64_t count, ComputeFn&& compute) 
     producer.join();
 }
 
+/// NTT every weight plaintext of a server cache, indexed [response *
+/// inputs + input], over the context's thread pool. A cache built without
+/// weights is the client's and gets none.
+template <typename EncodeFn>
+std::vector<he::PlainNtt> weight_ntts(const he::BfvContext& bfv, const he::LinearLayout& layout,
+                                      std::span<const Ring> weights, EncodeFn&& encode) {
+    std::vector<he::PlainNtt> w_ntt;
+    if (weights.empty()) return w_ntt;
+    w_ntt.resize(static_cast<std::size_t>(layout.responses() * layout.inputs));
+    core::parallel_for(bfv.thread_pool(), 0, layout.responses() * layout.inputs,
+                       [&](std::int64_t idx) {
+                           w_ntt[static_cast<std::size_t>(idx)] = bfv.to_plain_ntt(
+                               encode(idx / layout.inputs, idx % layout.inputs));
+                       });
+    return w_ntt;
+}
+
 }  // namespace
 
 ConvLayerCache::ConvLayerCache(const he::BfvContext& bfv, const he::ConvGeometry& geo,
-                               std::span<const Ring> weights, std::span<const Ring> bias2f,
-                               bool precompute_weights)
-    : enc(bfv, geo), weights(weights), bias2f(bias2f) {
-    if (precompute_weights) {
-        const std::int64_t groups = enc.num_groups();
-        w_ntt.resize(static_cast<std::size_t>(geo.out_channels * groups));
-        core::parallel_for(bfv.thread_pool(), 0, geo.out_channels * groups, [&](std::int64_t idx) {
-            const std::int64_t o = idx / groups;
-            const std::int64_t g = idx % groups;
-            w_ntt[static_cast<std::size_t>(idx)] =
-                bfv.to_plain_ntt(enc.encode_weight(weights, g, o));
-        });
+                               std::span<const Ring> weights, std::span<const Ring> bias2f)
+    : LinearLayerCache(weights, bias2f), enc(bfv, geo) {
+    w_ntt = weight_ntts(bfv, layout(), weights, [&](std::int64_t o, std::int64_t g) {
+        return enc.encode_weight(weights, g, o);
+    });
+}
+
+std::vector<Ring> ConvLayerCache::plain_part(std::span<const Ring> x_share) const {
+    const he::ConvGeometry& geo = enc.geometry();
+    std::vector<Ring> y = ring_conv2d(geo, x_share, weights);
+    if (!bias2f.empty()) {
+        const std::size_t pixels = static_cast<std::size_t>(geo.out_h() * geo.out_w());
+        for (std::size_t j = 0; j < y.size(); ++j) y[j] += bias2f[j / pixels];
     }
-    scatter_idx.reserve(static_cast<std::size_t>(geo.out_h() * geo.out_w()));
-    for (std::int64_t oy = 0; oy < geo.out_h(); ++oy)
-        for (std::int64_t ox = 0; ox < geo.out_w(); ++ox)
-            scatter_idx.push_back(enc.output_coeff_index(oy, ox));
+    return y;
 }
 
 MatVecLayerCache::MatVecLayerCache(const he::BfvContext& bfv, std::int64_t in, std::int64_t out,
-                                   std::span<const Ring> weights, std::span<const Ring> bias2f,
-                                   bool precompute_weights)
-    : enc(bfv, in, out), in(in), out(out), weights(weights), bias2f(bias2f) {
-    if (precompute_weights) {
-        w_ntt.resize(static_cast<std::size_t>(enc.num_blocks()));
-        core::parallel_for(bfv.thread_pool(), 0, enc.num_blocks(), [&](std::int64_t b) {
-            w_ntt[static_cast<std::size_t>(b)] =
-                bfv.to_plain_ntt(enc.encode_weight_block(weights, b));
-        });
-    }
-    scatter_idx.resize(static_cast<std::size_t>(enc.num_blocks()));
-    for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
-        const std::int64_t rows = std::min(enc.outs_per_block(), out - b * enc.outs_per_block());
-        for (std::int64_t r = 0; r < rows; ++r)
-            scatter_idx[static_cast<std::size_t>(b)].push_back(enc.output_coeff_index(r));
-    }
+                                   std::span<const Ring> weights, std::span<const Ring> bias2f)
+    : LinearLayerCache(weights, bias2f), enc(bfv, in, out) {
+    w_ntt = weight_ntts(bfv, layout(), weights, [&](std::int64_t b, std::int64_t /*input*/) {
+        return enc.encode_weight_block(weights, b);
+    });
 }
 
-std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
-                                 std::span<const Ring> x_share) {
-    require(!cache.w_ntt.empty(),
-            "he_conv_server needs a cache with precomputed weights (client-only artifact?)");
-    const he::BfvContext& bfv = ctx.bfv();
-    const he::ConvEncoder& enc = cache.enc;
-    const he::ConvGeometry& geo = enc.geometry();
-    const std::int64_t out_pixels = geo.out_h() * geo.out_w();
+std::vector<Ring> MatVecLayerCache::plain_part(std::span<const Ring> x_share) const {
+    std::vector<Ring> y = ring_matvec(weights, x_share, enc.in_features(), enc.out_features());
+    for (std::size_t j = 0; j < bias2f.size(); ++j) y[j] += bias2f[j];
+    return y;
+}
 
-    // Receive the client's encrypted input groups.
-    std::vector<he::Ciphertext> input_cts;
-    input_cts.reserve(static_cast<std::size_t>(enc.num_groups()));
-    for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
-        he::Ciphertext ct = recv_ciphertext(ctx);
+std::vector<Ring> he_linear_server(PartyContext& ctx, const LinearLayerCache& cache,
+                                   std::span<const Ring> x_share) {
+    require(!cache.w_ntt.empty(),
+            "the HE linear server needs a cache with precomputed weights (client-only artifact?)");
+    const he::BfvContext& bfv = ctx.bfv();
+    const he::LinearLayout& layout = cache.layout();
+
+    // Receive the client's encrypted input polynomials.
+    std::vector<he::Ciphertext> inputs(static_cast<std::size_t>(layout.inputs));
+    for (he::Ciphertext& ct : inputs) {
+        ct = recv_ciphertext(ctx);
         bfv.to_ntt(ct);
-        input_cts.push_back(std::move(ct));
     }
 
-    // Plain contribution of the server's own share (exact ring conv).
-    const auto plain_part = ring_conv2d(geo, x_share, cache.weights);
-
-    // Fresh mask r per channel: client will end with conv(x_c) - r; the
-    // server's share is conv(x_s) + bias + r. Masks are drawn up front in
-    // channel order so the share-PRG stream never depends on the
-    // parallel schedule below.
-    std::vector<Ring> out_share(static_cast<std::size_t>(geo.out_channels * out_pixels));
-    std::vector<std::vector<Ring>> masks(static_cast<std::size_t>(geo.out_channels));
-    for (std::int64_t o = 0; o < geo.out_channels; ++o) {
-        std::vector<Ring>& mask = masks[static_cast<std::size_t>(o)];
-        mask.resize(static_cast<std::size_t>(out_pixels));
-        for (std::int64_t i = 0; i < out_pixels; ++i) {
-            const Ring r = ctx.share_prg().next_u64();
-            mask[static_cast<std::size_t>(i)] = Ring{0} - r;
-            Ring server_val = plain_part[static_cast<std::size_t>(o * out_pixels + i)] + r;
-            if (!cache.bias2f.empty()) server_val += cache.bias2f[static_cast<std::size_t>(o)];
-            out_share[static_cast<std::size_t>(o * out_pixels + i)] = server_val;
-        }
+    // Fresh mask r per output: the client will end with W x_c - r; the
+    // server's share is W x_s + bias + r. Masks are drawn up front in
+    // output (= response) order so the share-PRG stream never depends on
+    // the parallel schedule below.
+    std::vector<Ring> out_share = cache.plain_part(x_share);
+    std::vector<Ring> masks(out_share.size());
+    for (std::size_t j = 0; j < out_share.size(); ++j) {
+        const Ring r = ctx.share_prg().next_u64();
+        masks[j] = Ring{0} - r;
+        out_share[j] += r;
     }
 
-    // Per-channel responses in parallel, shipped in channel order (the
-    // wire transcript is identical to the serial loop); pipelined
-    // sessions stream each channel the moment it finalizes.
-    emit_responses(ctx, geo.out_channels, [&](std::int64_t o) {
+    // Responses in parallel, shipped in response order (the wire
+    // transcript is identical to the serial loop); pipelined sessions
+    // stream each response the moment it finalizes.
+    emit_responses(ctx, layout.responses(), [&](std::int64_t r) {
+        const auto w = std::span(cache.w_ntt).subspan(static_cast<std::size_t>(r * layout.inputs),
+                                                      static_cast<std::size_t>(layout.inputs));
         he::Ciphertext acc;
-        bfv.multiply_plain(input_cts[0], cache.weight_ntt(0, o), acc);
-        for (std::int64_t g = 1; g < enc.num_groups(); ++g) {
-            bfv.multiply_plain_accumulate(input_cts[static_cast<std::size_t>(g)],
-                                          cache.weight_ntt(g, o), acc);
-        }
+        bfv.multiply_plain(inputs[0], w[0], acc);
+        for (std::size_t g = 1; g < inputs.size(); ++g)
+            bfv.multiply_plain_accumulate(inputs[g], w[g], acc);
         bfv.from_ntt(acc);
-        bfv.add_plain_at(acc, cache.scatter_idx, masks[static_cast<std::size_t>(o)]);
+        const auto [begin, end] = layout.response_range(r);
+        bfv.add_plain_at(acc, std::span(layout.output_coeff).subspan(begin, end - begin),
+                         std::span(masks).subspan(begin, end - begin));
         bfv.mod_switch_to_two_limbs(acc);
         return acc;
     });
     return out_share;
 }
 
-std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
-                                 std::span<const Ring> x_share) {
-    const he::BfvContext& bfv = ctx.bfv();
-    const he::ConvGeometry& geo = enc.geometry();
-    const std::int64_t out_pixels = geo.out_h() * geo.out_w();
-
-    for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
-        const he::Ciphertext ct =
-            bfv.encrypt(enc.encode_input_group(x_share, g), ctx.client_key(), ctx.share_prg());
-        send_ciphertext(ctx, ct);
-    }
-
-    std::vector<Ring> out_share(static_cast<std::size_t>(geo.out_channels * out_pixels));
-    for (std::int64_t o = 0; o < geo.out_channels; ++o) {
-        const he::Ciphertext response = recv_ciphertext(ctx);
-        const auto poly = bfv.decrypt(response, ctx.client_key());
-        const auto vals = enc.gather_outputs(poly);
-        std::copy(vals.begin(), vals.end(),
-                  out_share.begin() + static_cast<std::ptrdiff_t>(o * out_pixels));
-    }
-    return out_share;
-}
-
-std::vector<Ring> he_matvec_server(PartyContext& ctx, const MatVecLayerCache& cache,
-                                   std::span<const Ring> x_share) {
-    require(!cache.w_ntt.empty(),
-            "he_matvec_server needs a cache with precomputed weights (client-only artifact?)");
-    const he::BfvContext& bfv = ctx.bfv();
-    const he::MatVecEncoder& enc = cache.enc;
-    const std::int64_t in = cache.in, out = cache.out;
-
-    he::Ciphertext input_ct = recv_ciphertext(ctx);
-    bfv.to_ntt(input_ct);
-
-    const auto plain_part = ring_matvec(cache.weights, x_share, in, out);
-    std::vector<Ring> out_share(static_cast<std::size_t>(out));
-
-    // Block masks in block order first (PRG determinism), then the block
-    // responses in parallel, sent in block order.
-    std::vector<std::vector<Ring>> masks(static_cast<std::size_t>(enc.num_blocks()));
-    for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
-        const std::int64_t rows = std::min(enc.outs_per_block(), out - b * enc.outs_per_block());
-        std::vector<Ring>& mask = masks[static_cast<std::size_t>(b)];
-        mask.resize(static_cast<std::size_t>(rows));
-        for (std::int64_t r = 0; r < rows; ++r) {
-            const std::int64_t row = b * enc.outs_per_block() + r;
-            const Ring rv = ctx.share_prg().next_u64();
-            mask[static_cast<std::size_t>(r)] = Ring{0} - rv;
-            Ring server_val = plain_part[static_cast<std::size_t>(row)] + rv;
-            if (!cache.bias2f.empty()) server_val += cache.bias2f[static_cast<std::size_t>(row)];
-            out_share[static_cast<std::size_t>(row)] = server_val;
-        }
-    }
-
-    emit_responses(ctx, enc.num_blocks(), [&](std::int64_t b) {
-        he::Ciphertext acc;
-        bfv.multiply_plain(input_ct, cache.w_ntt[static_cast<std::size_t>(b)], acc);
-        bfv.from_ntt(acc);
-        bfv.add_plain_at(acc, cache.scatter_idx[static_cast<std::size_t>(b)],
-                         masks[static_cast<std::size_t>(b)]);
-        bfv.mod_switch_to_two_limbs(acc);
-        return acc;
-    });
-    return out_share;
-}
-
-std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& enc,
+std::vector<Ring> he_linear_client(PartyContext& ctx, const he::LinearLayout& layout,
                                    std::span<const Ring> x_share) {
     const he::BfvContext& bfv = ctx.bfv();
+    const std::vector<Ring> polys = layout.pack_inputs(x_share, bfv.n());
+    for (std::int64_t g = 0; g < layout.inputs; ++g) {
+        const auto plain = std::span(polys).subspan(static_cast<std::size_t>(g) * bfv.n(), bfv.n());
+        send_ciphertext(ctx, bfv.encrypt(plain, ctx.client_key(), ctx.share_prg()));
+    }
 
-    const he::Ciphertext ct =
-        bfv.encrypt(enc.encode_input(x_share), ctx.client_key(), ctx.share_prg());
-    send_ciphertext(ctx, ct);
-
-    std::vector<Ring> out_share(static_cast<std::size_t>(enc.out_features()));
-    for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
-        const he::Ciphertext response = recv_ciphertext(ctx);
-        const auto poly = bfv.decrypt(response, ctx.client_key());
-        const auto vals = enc.gather_outputs(poly, b);
-        std::copy(vals.begin(), vals.end(),
-                  out_share.begin() + static_cast<std::ptrdiff_t>(b * enc.outs_per_block()));
+    std::vector<Ring> out_share(layout.output_coeff.size());
+    for (std::int64_t r = 0; r < layout.responses(); ++r) {
+        const auto poly = bfv.decrypt(recv_ciphertext(ctx), ctx.client_key());
+        const auto [begin, end] = layout.response_range(r);
+        for (std::size_t j = begin; j < end; ++j)
+            out_share[j] = poly[static_cast<std::size_t>(layout.output_coeff[j])];
     }
     return out_share;
 }

@@ -5,24 +5,25 @@
 /// protocol; PiBackend::kDelphi runs the same protocol and only charges
 /// its traffic to the offline phase).
 ///
-/// Protocol (conv): the client encrypts its input share group-by-group;
-/// the server homomorphically convolves with its plaintext weights, folds
-/// in its own share's plain convolution, the bias and a fresh random mask
-/// -r, mod-switches and replies. The client decrypts its new share; the
-/// server's new share is r (plus its plain contribution). Outputs carry
+/// Protocol: one body for conv and fully-connected layers, driven by the
+/// layer's he::LinearLayout. The client packs its input share at the
+/// layout's input slots and encrypts those polynomials; the server
+/// multiplies them by its NTT-form weight plaintexts, folds a fresh
+/// random mask -r into each output coefficient, mod-switches and sends
+/// one response per range of outputs. The client decrypts and reads its
+/// new share at the layout's output coefficients; the server's new share
+/// is its own share's plain product plus the bias plus r. Outputs carry
 /// fixed-point scale 2f and must be truncated by the caller.
 ///
 /// The server runs over a layer cache (`ConvLayerCache` /
-/// `MatVecLayerCache`): every input-independent piece — encoder
-/// geometry, the NTT-form weight plaintexts and their Shoup companions —
-/// is precomputed once (CompiledModel construction) and only the
+/// `MatVecLayerCache`): every input-independent piece — encoder layout,
+/// the NTT-form weight plaintexts and their Shoup companions — is
+/// precomputed once (CompiledModel construction) and only the
 /// input-dependent work runs per inference. The per-response ciphertexts
 /// are computed in parallel over the cache's thread pool but SENT in
 /// deterministic channel order, so the wire transcript, the traffic
 /// accounting and the client's view are bit-identical to the serial
 /// path.
-
-#include <memory>
 
 #include "he/encoding.hpp"
 #include "mpc/context.hpp"
@@ -30,66 +31,83 @@
 
 namespace c2pi::mpc {
 
-/// Input-independent server precompute for one conv layer: encoder
-/// geometry plus one NTT-form weight plaintext per (output channel,
-/// input group) pair. `weights` are ring-encoded [O,C,k,k]; `bias2f`
-/// (may be empty) is per-output-channel at scale 2^2f. Both are borrowed
-/// views (the ring conv of the server's own share still needs the raw
-/// weights); the owner — CompiledModel's ServerLayerData — must outlive
-/// the cache.
-struct ConvLayerCache {
-    /// `precompute_weights = false` builds a client-side cache: encoder
-    /// geometry and scatter indices only, no weight NTTs (the client
-    /// never multiplies; a server handed such a cache throws).
+/// What the linear protocol reads from a layer cache, whatever the
+/// layer's kind. `weights` and `bias2f` (scale 2^2f, may be empty) are
+/// borrowed views (the plain part of the server's own share still needs
+/// the raw weights); the owner — CompiledModel's ServerLayerData — must
+/// outlive the cache. A cache built without weights is the client's: its
+/// layout only, no weight NTTs (a server handed one throws).
+struct LinearLayerCache {
+    LinearLayerCache(std::span<const Ring> weights, std::span<const Ring> bias2f)
+        : weights(weights), bias2f(bias2f) {}
+    virtual ~LinearLayerCache() = default;
+
+    [[nodiscard]] virtual const he::LinearLayout& layout() const = 0;
+    /// The server's own share through the layer, exact in the ring, plus
+    /// the bias: its output share before the mask.
+    [[nodiscard]] virtual std::vector<Ring> plain_part(std::span<const Ring> x_share) const = 0;
+
+    std::span<const Ring> weights;
+    std::span<const Ring> bias2f;
+    std::vector<he::PlainNtt> w_ntt;  ///< [response * layout().inputs + input]
+};
+
+/// Conv cache: one weight plaintext per (output channel, input group).
+/// `weights` are ring-encoded [O,C,k,k]; the bias is per output channel.
+struct ConvLayerCache final : LinearLayerCache {
     ConvLayerCache(const he::BfvContext& bfv, const he::ConvGeometry& geo,
-                   std::span<const Ring> weights, std::span<const Ring> bias2f,
-                   bool precompute_weights = true);
+                   std::span<const Ring> weights, std::span<const Ring> bias2f);
+
+    [[nodiscard]] const he::LinearLayout& layout() const override { return enc.layout(); }
+    [[nodiscard]] std::vector<Ring> plain_part(std::span<const Ring> x_share) const override;
 
     he::ConvEncoder enc;
-    std::span<const Ring> weights;
-    std::span<const Ring> bias2f;
-    std::vector<he::PlainNtt> w_ntt;  ///< [o * num_groups + g]
-    /// Coefficient index of each output pixel (row-major), for the sparse
-    /// mask fold (add_plain_at) — the scatter poly is zero elsewhere.
-    std::vector<std::int64_t> scatter_idx;
-
-    [[nodiscard]] const he::PlainNtt& weight_ntt(std::int64_t g, std::int64_t o) const {
-        return w_ntt[static_cast<std::size_t>(o * enc.num_groups() + g)];
-    }
 };
 
-/// Fully-connected counterpart: one NTT-form weight plaintext per output
-/// block.
-struct MatVecLayerCache {
+/// Fully-connected cache: one weight plaintext per output block. Weights
+/// are [out,in] row-major; the bias is per output row.
+struct MatVecLayerCache final : LinearLayerCache {
     MatVecLayerCache(const he::BfvContext& bfv, std::int64_t in, std::int64_t out,
-                     std::span<const Ring> weights, std::span<const Ring> bias2f,
-                     bool precompute_weights = true);
+                     std::span<const Ring> weights, std::span<const Ring> bias2f);
+
+    [[nodiscard]] const he::LinearLayout& layout() const override { return enc.layout(); }
+    [[nodiscard]] std::vector<Ring> plain_part(std::span<const Ring> x_share) const override;
 
     he::MatVecEncoder enc;
-    std::int64_t in = 0, out = 0;
-    std::span<const Ring> weights;
-    std::span<const Ring> bias2f;
-    std::vector<he::PlainNtt> w_ntt;                    ///< [block]
-    std::vector<std::vector<std::int64_t>> scatter_idx; ///< [block][row]
 };
 
-/// Server side of the secure convolution over a precomputed layer cache.
-/// `x_share` is the server's input share ([C,H,W]); returns the server's
-/// output share ([O,OH,OW] flattened).
-[[nodiscard]] std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
-                                               std::span<const Ring> x_share);
-
-/// Client side; `x_share` is the client's input share. The encoder
-/// carries only public geometry, so the client reuses the compiled
-/// artifact's encoder instead of rebuilding it per request.
-[[nodiscard]] std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
-                                               std::span<const Ring> x_share);
-
-/// Fully-connected counterparts: weights [out,in] row-major.
-[[nodiscard]] std::vector<Ring> he_matvec_server(PartyContext& ctx,
-                                                 const MatVecLayerCache& cache,
+/// Server side of the protocol over a precomputed layer cache. `x_share`
+/// is the server's input share; returns its output share.
+[[nodiscard]] std::vector<Ring> he_linear_server(PartyContext& ctx, const LinearLayerCache& cache,
                                                  std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& enc,
+
+/// Client side; `x_share` is the client's input share. The layout is
+/// public, so the client reuses the compiled artifact's instead of
+/// rebuilding it per request.
+[[nodiscard]] std::vector<Ring> he_linear_client(PartyContext& ctx,
+                                                 const he::LinearLayout& layout,
                                                  std::span<const Ring> x_share);
+
+/// Per-kind entry points: conv shares are [C,H,W] in and [O,OH,OW] out
+/// (flattened), fully-connected shares [in] and [out].
+[[nodiscard]] inline std::vector<Ring> he_conv_server(PartyContext& ctx,
+                                                      const ConvLayerCache& cache,
+                                                      std::span<const Ring> x_share) {
+    return he_linear_server(ctx, cache, x_share);
+}
+[[nodiscard]] inline std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
+                                                      std::span<const Ring> x_share) {
+    return he_linear_client(ctx, enc.layout(), x_share);
+}
+[[nodiscard]] inline std::vector<Ring> he_matvec_server(PartyContext& ctx,
+                                                        const MatVecLayerCache& cache,
+                                                        std::span<const Ring> x_share) {
+    return he_linear_server(ctx, cache, x_share);
+}
+[[nodiscard]] inline std::vector<Ring> he_matvec_client(PartyContext& ctx,
+                                                        const he::MatVecEncoder& enc,
+                                                        std::span<const Ring> x_share) {
+    return he_linear_client(ctx, enc.layout(), x_share);
+}
 
 }  // namespace c2pi::mpc

@@ -393,7 +393,7 @@ ClientModel::ClientModel(ModelArtifact artifact, int num_threads)
     : artifact_((artifact.validate(), std::move(artifact))),
       pool_(core::make_serving_pool(num_threads)),
       bfv_(artifact_.bfv_params(pool_.get())),
-      caches_(precompute_client_caches(artifact_.plan, bfv_)) {}
+      caches_(precompute_layer_caches(artifact_.plan, {}, bfv_)) {}
 
 int ClientModel::num_threads() const { return pool_ == nullptr ? 1 : pool_->num_threads(); }
 

@@ -122,7 +122,7 @@ public:
 
     [[nodiscard]] const ModelArtifact& artifact() const { return artifact_; }
     [[nodiscard]] const he::BfvContext& bfv() const { return bfv_; }
-    /// Encoder geometry per crypto layer; w_ntt of every cache is empty.
+    /// Encoder layout per crypto layer; w_ntt of every cache is empty.
     [[nodiscard]] const std::vector<LayerCache>& layer_caches() const { return caches_; }
     /// Resolved thread count (after auto-detection).
     [[nodiscard]] int num_threads() const;

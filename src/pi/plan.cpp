@@ -168,34 +168,17 @@ std::vector<ServerLayerData> extract_server_data(const nn::Graph& model, std::si
 std::vector<LayerCache> precompute_layer_caches(const std::vector<LayerPlan>& plan,
                                                 const std::vector<ServerLayerData>& data,
                                                 const he::BfvContext& bfv) {
-    require(plan.size() == data.size(), "plan/server-data length mismatch");
+    require(data.empty() || plan.size() == data.size(), "plan/server-data length mismatch");
     std::vector<LayerCache> caches(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
         const LayerPlan& p = plan[i];
+        const std::span<const Ring> weights = data.empty() ? std::span<const Ring>{} : data[i].weights;
+        const std::span<const Ring> bias2f = data.empty() ? std::span<const Ring>{} : data[i].bias2f;
         if (p.op == PlanOp::kConv) {
-            caches[i].conv = std::make_unique<mpc::ConvLayerCache>(
-                bfv, p.geo, data[i].weights, data[i].bias2f);
+            caches[i].conv = std::make_unique<mpc::ConvLayerCache>(bfv, p.geo, weights, bias2f);
         } else if (p.op == PlanOp::kLinear) {
             caches[i].matvec = std::make_unique<mpc::MatVecLayerCache>(
-                bfv, p.in_features, p.out_features, data[i].weights, data[i].bias2f);
-        }
-    }
-    return caches;
-}
-
-std::vector<LayerCache> precompute_client_caches(const std::vector<LayerPlan>& plan,
-                                                 const he::BfvContext& bfv) {
-    std::vector<LayerCache> caches(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        const LayerPlan& p = plan[i];
-        if (p.op == PlanOp::kConv) {
-            caches[i].conv = std::make_unique<mpc::ConvLayerCache>(
-                bfv, p.geo, std::span<const Ring>{}, std::span<const Ring>{},
-                /*precompute_weights=*/false);
-        } else if (p.op == PlanOp::kLinear) {
-            caches[i].matvec = std::make_unique<mpc::MatVecLayerCache>(
-                bfv, p.in_features, p.out_features, std::span<const Ring>{},
-                std::span<const Ring>{}, /*precompute_weights=*/false);
+                bfv, p.in_features, p.out_features, weights, bias2f);
         }
     }
     return caches;

@@ -73,6 +73,13 @@ struct ServerLayerData {
 struct LayerCache {
     std::unique_ptr<mpc::ConvLayerCache> conv;
     std::unique_ptr<mpc::MatVecLayerCache> matvec;
+
+    /// The set member, as the one linear protocol reads it.
+    [[nodiscard]] const mpc::LinearLayerCache& linear() const {
+        if (conv != nullptr) return *conv;
+        require(matvec != nullptr, "plan entry has no HE linear-layer cache");
+        return *matvec;
+    }
 };
 
 /// Plan graph nodes [0, end) of the model for an input of shape [C,H,W].
@@ -90,19 +97,15 @@ struct LayerCache {
                                                                std::size_t end,
                                                                const FixedPointFormat& fmt);
 
-/// Build the server-side HE precompute for every crypto layer: encoder
-/// geometry and the NTT-form (Shoup-companioned) weight plaintexts.
-/// `data` must outlive the returned caches. Runs the weight NTTs over
-/// the context's thread pool when it has one.
+/// Build the HE precompute for every crypto layer: encoder layouts and,
+/// on the server, the NTT-form (Shoup-companioned) weight plaintexts.
+/// `data` must outlive the returned caches. Empty `data` builds the
+/// client's caches from the public plan alone: layouts only, no weight
+/// NTTs and no PlainNtt memory. Runs the weight NTTs over the context's
+/// thread pool when it has one.
 [[nodiscard]] std::vector<LayerCache> precompute_layer_caches(
     const std::vector<LayerPlan>& plan, const std::vector<ServerLayerData>& data,
     const he::BfvContext& bfv);
-
-/// Client-side subset of the precompute: encoder geometry and scatter
-/// indices only — no weights exist on this side, so no weight NTTs and
-/// no PlainNtt memory. Built from a public ModelArtifact plan alone.
-[[nodiscard]] std::vector<LayerCache> precompute_client_caches(
-    const std::vector<LayerPlan>& plan, const he::BfvContext& bfv);
 
 /// Number of FSS comparisons one inference over this plan consumes: one
 /// per ReLU output element, and kernel^2 - 1 per maxpool window (the

@@ -120,7 +120,7 @@ struct PartyRun {
     /// Walk the planned DAG; `share` is this party's share of the
     /// boundary input. Sets phase per backend convention. The server
     /// serves straight from the compiled caches (no weight encode/NTT
-    /// online); the client reuses their encoder geometry.
+    /// online); the client reuses their layouts.
     ///
     /// Plan entries execute in plan order (a topological order by
     /// construction); each entry's output share is kept live until its
@@ -151,27 +151,12 @@ struct PartyRun {
             const bool offline_linear = backend == PiBackend::kDelphi;
             std::vector<Ring> cur = take(i, p.input0);
             switch (p.op) {
-                case PlanOp::kConv: {
-                    if (offline_linear) ctx.transport().set_phase(net::Phase::kOffline);
-                    const mpc::ConvLayerCache& cache = *caches[i].conv;
-                    if (ctx.is_server()) {
-                        cur = mpc::he_conv_server(ctx, cache, cur);
-                    } else {
-                        cur = mpc::he_conv_client(ctx, cache.enc, cur);
-                    }
-                    ctx.transport().set_phase(net::Phase::kOnline);
-                    for (auto& v : cur)
-                        v = static_cast<Ring>(static_cast<std::int64_t>(v) >> fmt.frac_bits);
-                    break;
-                }
+                case PlanOp::kConv:
                 case PlanOp::kLinear: {
                     if (offline_linear) ctx.transport().set_phase(net::Phase::kOffline);
-                    const mpc::MatVecLayerCache& cache = *caches[i].matvec;
-                    if (ctx.is_server()) {
-                        cur = mpc::he_matvec_server(ctx, cache, cur);
-                    } else {
-                        cur = mpc::he_matvec_client(ctx, cache.enc, cur);
-                    }
+                    const mpc::LinearLayerCache& cache = caches[i].linear();
+                    cur = ctx.is_server() ? mpc::he_linear_server(ctx, cache, cur)
+                                          : mpc::he_linear_client(ctx, cache.layout(), cur);
                     ctx.transport().set_phase(net::Phase::kOnline);
                     for (auto& v : cur)
                         v = static_cast<Ring>(static_cast<std::int64_t>(v) >> fmt.frac_bits);

@@ -402,28 +402,33 @@ TEST_P(ConvEncodingTest, HomomorphicConvMatchesRingReference) {
     const SecretKey sk = ctx.keygen(prg);
 
     // One accumulator per output channel, summed over input groups.
+    const LinearLayout& layout = enc.layout();
+    ASSERT_EQ(layout.responses(), p.o);
+    const auto polys = layout.pack_inputs(x, ctx.n());
     std::vector<Ciphertext> input_cts;
-    for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
-        Ciphertext ct = ctx.encrypt(enc.encode_input_group(x, g), sk, prg);
+    for (std::int64_t g = 0; g < layout.inputs; ++g) {
+        Ciphertext ct = ctx.encrypt(
+            std::span(polys).subspan(static_cast<std::size_t>(g) * ctx.n(), ctx.n()), sk, prg);
         ctx.to_ntt(ct);
         input_cts.push_back(std::move(ct));
     }
     const auto want = ring_conv_reference(geo, x, w);
+    ASSERT_EQ(layout.output_coeff.size(), want.size());
     for (std::int64_t o = 0; o < p.o; ++o) {
         Ciphertext acc;
         ctx.multiply_plain(input_cts[0], ctx.to_plain_ntt(enc.encode_weight(w, 0, o)), acc);
-        for (std::int64_t g = 1; g < enc.num_groups(); ++g) {
+        for (std::int64_t g = 1; g < layout.inputs; ++g) {
             ctx.multiply_plain_accumulate(input_cts[static_cast<std::size_t>(g)],
                                           ctx.to_plain_ntt(enc.encode_weight(w, g, o)), acc);
         }
         ctx.from_ntt(acc);
         ctx.mod_switch_to_two_limbs(acc);
         const auto poly = ctx.decrypt(acc, sk);
-        const auto got = enc.gather_outputs(poly);
-        for (std::int64_t i = 0; i < geo.out_h() * geo.out_w(); ++i) {
-            EXPECT_EQ(got[static_cast<std::size_t>(i)],
-                      want[static_cast<std::size_t>(o * geo.out_h() * geo.out_w() + i)])
-                << "o=" << o << " i=" << i;
+        const auto [begin, end] = layout.response_range(o);
+        ASSERT_EQ(end - begin, static_cast<std::size_t>(geo.out_h() * geo.out_w()));
+        for (std::size_t j = begin; j < end; ++j) {
+            EXPECT_EQ(poly[static_cast<std::size_t>(layout.output_coeff[j])], want[j])
+                << "o=" << o << " j=" << j;
         }
     }
 }
@@ -452,17 +457,22 @@ TEST(MatVecEncoding, HomomorphicMatVecMatchesRingReference) {
 
     crypto::ChaCha20Prg prg(crypto::Block128{17, 18});
     const SecretKey sk = ctx.keygen(prg);
-    Ciphertext ct = ctx.encrypt(enc.encode_input(x), sk, prg);
+    const LinearLayout& layout = enc.layout();
+    ASSERT_EQ(layout.inputs, 1);
+    Ciphertext ct = ctx.encrypt(layout.pack_inputs(x, ctx.n()), sk, prg);
     ctx.to_ntt(ct);
 
+    // 256 / 48 = 5 rows per block: 20 rows are 4 full blocks.
+    ASSERT_EQ(layout.responses(), 4);
     std::vector<Ring> got;
-    for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
+    for (std::int64_t b = 0; b < layout.responses(); ++b) {
         Ciphertext acc;
         ctx.multiply_plain(ct, ctx.to_plain_ntt(enc.encode_weight_block(w, b)), acc);
         ctx.from_ntt(acc);
         const auto poly = ctx.decrypt(acc, sk);
-        const auto rows = enc.gather_outputs(poly, b);
-        got.insert(got.end(), rows.begin(), rows.end());
+        const auto [begin, end] = layout.response_range(b);
+        for (std::size_t j = begin; j < end; ++j)
+            got.push_back(poly[static_cast<std::size_t>(layout.output_coeff[j])]);
     }
     ASSERT_EQ(got.size(), static_cast<std::size_t>(out));
     for (std::int64_t o = 0; o < out; ++o) {
@@ -482,7 +492,7 @@ TEST(ConvEncoding, GroupingRespectsRingCapacity) {
                            .kernel = 3, .stride = 1, .pad = 1};
     const ConvEncoder enc(ctx, geo);
     EXPECT_EQ(enc.channels_per_group(), 7);
-    EXPECT_EQ(enc.num_groups(), 3);
+    EXPECT_EQ(enc.layout().inputs, 3);
     EXPECT_LE(enc.channels_per_group() * geo.padded_h() * geo.padded_w(),
               static_cast<std::int64_t>(ctx.n()));
 }
