@@ -5,20 +5,11 @@
 namespace c2pi::he {
 
 namespace {
-/// Signed lift of a ring element into [0, p). The magnitude of a
-/// negative value is computed in unsigned arithmetic (u64{0} - v):
+/// Signed lift of a ring element into [0, p), divisionless (one Shoup
+/// high-mul instead of a 128-bit division per coefficient). The magnitude
+/// of a negative value is computed in unsigned arithmetic (u64{0} - v):
 /// negating INT64_MIN — a perfectly legal ring element, and a uniformly
 /// likely mask value — would be signed-overflow UB.
-u64 lift_signed(Ring v, u64 p) {
-    const auto sv = static_cast<std::int64_t>(v);
-    if (sv >= 0) return static_cast<u64>(sv) % p;
-    const u64 mag = (u64{0} - v) % p;
-    return mag == 0 ? 0 : p - mag;
-}
-
-/// Divisionless lift_signed (identical values) for the per-inference
-/// path: add_plain_at folds every response's masks, so a per-coefficient
-/// division would show up in the server's online wall time.
 u64 lift_signed_shoup(Ring v, u64 p, u64 one_shoup) {
     const auto sv = static_cast<std::int64_t>(v);
     if (sv >= 0) return reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
@@ -81,29 +72,19 @@ BfvContext::BfvContext(Params params) : params_(params) {
 
     if (params_.limbs >= 4) {
         const u128 drop = static_cast<u128>(primes_[2]) * primes_[3];
-        for (int i = 0; i < 2; ++i) {
-            const u64 p = primes_[static_cast<std::size_t>(i)];
-            drop_inv_mod_[i] = inv_mod(static_cast<u64>(drop % p), p);
-            drop_inv_shoup_[i] = shoup_precompute(drop_inv_mod_[i], p);
-            r64_mod_[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
-            r64_shoup_[i] = shoup_precompute(r64_mod_[i], p);
-        }
-        q3_inv_mod_q4_ = inv_mod(primes_[2] % primes_[3], primes_[3]);
-        q3_inv_shoup_ = shoup_precompute(q3_inv_mod_q4_, primes_[3]);
-
         ms_consts_.q3 = primes_[2];
         ms_consts_.q4 = primes_[3];
         ms_consts_.one_shoup_q4 = one_shoup_[3];
-        ms_consts_.q3_inv = q3_inv_mod_q4_;
-        ms_consts_.q3_inv_shoup = q3_inv_shoup_;
-        for (int i = 0; i < 2; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            ms_consts_.p[i] = primes_[ui];
-            ms_consts_.one_shoup[i] = one_shoup_[ui];
-            ms_consts_.r64[i] = r64_mod_[i];
-            ms_consts_.r64_shoup[i] = r64_shoup_[i];
-            ms_consts_.drop_inv[i] = drop_inv_mod_[i];
-            ms_consts_.drop_inv_shoup[i] = drop_inv_shoup_[i];
+        ms_consts_.q3_inv = inv_mod(primes_[2] % primes_[3], primes_[3]);
+        ms_consts_.q3_inv_shoup = shoup_precompute(ms_consts_.q3_inv, primes_[3]);
+        for (std::size_t i = 0; i < 2; ++i) {
+            const u64 p = primes_[i];
+            ms_consts_.p[i] = p;
+            ms_consts_.one_shoup[i] = one_shoup_[i];
+            ms_consts_.r64[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
+            ms_consts_.r64_shoup[i] = shoup_precompute(ms_consts_.r64[i], p);
+            ms_consts_.drop_inv[i] = inv_mod(static_cast<u64>(drop % p), p);
+            ms_consts_.drop_inv_shoup[i] = shoup_precompute(ms_consts_.drop_inv[i], p);
         }
     }
 }
@@ -195,7 +176,8 @@ Ciphertext BfvContext::encrypt(std::span<const Ring> plain, const SecretKey& sk,
             const u64 p = primes_[i];
             u64 v = sub_mod(0, as.limbs[i][j], p);
             v = add_mod(v, e >= 0 ? static_cast<u64>(e) : p - static_cast<u64>(-e), p);
-            v = add_mod(v, mul_mod(delta_mod_[i], lift_signed(m, p), p), p);
+            const u64 m_p = lift_signed_shoup(m, p, one_shoup_[i]);
+            v = add_mod(v, mul_mod_shoup(m_p, delta_mod_[i], delta_shoup_[i], p), p);
             ct.c0.limbs[i][j] = v;
         }
     }
@@ -260,7 +242,7 @@ RnsPoly BfvContext::lift_to_ntt(std::span<const Ring> poly) const {
     RnsPoly p = zero_poly(params_.limbs);
     for (std::size_t i = 0; i < primes_.size(); ++i) {
         for (std::size_t j = 0; j < poly.size(); ++j)
-            p.limbs[i][j] = lift_signed(poly[j], primes_[i]);
+            p.limbs[i][j] = lift_signed_shoup(poly[j], primes_[i], one_shoup_[i]);
     }
     poly_ntt(p);
     return p;

@@ -137,14 +137,7 @@ private:
     std::vector<u64> delta_mod_;          ///< Δ mod q_i (fresh modulus)
     std::vector<u64> delta_shoup_;        ///< Shoup companions of Δ mod q_i
     std::vector<u64> one_shoup_;          ///< floor(2^64 / q_i) for divisionless a mod q_i
-    std::vector<u64> delta2_mod_;         ///< Δ' = floor(q1q2 / t) mod q_i, i<2
-    u64 drop_inv_mod_[2] = {};            ///< (q3 q4)^{-1} mod q_i for the switch
-    u64 drop_inv_shoup_[2] = {};
-    u64 r64_mod_[2] = {};                 ///< 2^64 mod q_i (CRT-compose reduction)
-    u64 r64_shoup_[2] = {};
-    u64 q3_inv_mod_q4_ = 0;               ///< q3^{-1} mod q4, hoisted out of mod switch
-    u64 q3_inv_shoup_ = 0;
-    kernels::ModSwitchConsts ms_consts_;  ///< the same constants, kernel layout
+    kernels::ModSwitchConsts ms_consts_;  ///< 4 -> 2 limb switch constants (limbs >= 4)
 };
 
 }  // namespace c2pi::he
