@@ -62,8 +62,6 @@ public:
         return result;
     }
 
-    std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
-
     /// Uniform double in [0, 1).
     double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 

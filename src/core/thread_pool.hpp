@@ -250,12 +250,6 @@ public:
         return true;
     }
 
-    /// Tasks currently queued or running.
-    [[nodiscard]] std::size_t in_flight() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return in_flight_;
-    }
-
     /// Refuse new submissions, run everything already accepted, join the
     /// workers. Idempotent; also run by the destructor.
     void drain() {
@@ -296,7 +290,7 @@ private:
     };
 
     const std::size_t bound_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable cv_work_;  ///< wakes workers on new tasks / stop
     std::condition_variable cv_idle_;  ///< wakes drain() when in_flight_ hits 0
     std::deque<Entry> queue_;

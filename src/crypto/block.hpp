@@ -29,8 +29,6 @@ struct Block128 {
     /// Point-and-permute colour bit (lsb of the label).
     [[nodiscard]] bool colour() const { return (lo & 1ULL) != 0; }
 
-    [[nodiscard]] bool is_zero() const { return lo == 0 && hi == 0; }
-
     void to_bytes(std::uint8_t out[16]) const {
         std::memcpy(out, &lo, 8);
         std::memcpy(out + 8, &hi, 8);

@@ -133,12 +133,4 @@ Tensor SyntheticImageDataset::stack_images(std::span<const Sample> samples, std:
     return make_batch(samples, idx);
 }
 
-std::vector<std::int64_t> SyntheticImageDataset::stack_labels(std::span<const Sample> samples,
-                                                              std::size_t n) const {
-    n = std::min(n, samples.size());
-    std::vector<std::int64_t> labels(n);
-    for (std::size_t i = 0; i < n; ++i) labels[i] = samples[i].label;
-    return labels;
-}
-
 }  // namespace c2pi::data

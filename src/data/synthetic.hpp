@@ -59,8 +59,6 @@ public:
 
     /// Stack the first n samples of a split into a batch (n clamped to size).
     [[nodiscard]] Tensor stack_images(std::span<const Sample> samples, std::size_t n) const;
-    [[nodiscard]] std::vector<std::int64_t> stack_labels(std::span<const Sample> samples,
-                                                         std::size_t n) const;
 
 private:
     [[nodiscard]] Sample generate_sample(std::int64_t label, Rng& rng) const;

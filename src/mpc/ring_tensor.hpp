@@ -45,29 +45,4 @@ struct RingTensor {
     return out;
 }
 
-/// Elementwise helpers on ring tensors (shape-checked).
-[[nodiscard]] inline RingTensor ring_add(const RingTensor& a, const RingTensor& b) {
-    require(a.shape == b.shape, "ring_add shape mismatch");
-    RingTensor out(a.shape);
-    for (std::size_t i = 0; i < a.data.size(); ++i) out.data[i] = a.data[i] + b.data[i];
-    return out;
-}
-
-[[nodiscard]] inline RingTensor ring_sub(const RingTensor& a, const RingTensor& b) {
-    require(a.shape == b.shape, "ring_sub shape mismatch");
-    RingTensor out(a.shape);
-    for (std::size_t i = 0; i < a.data.size(); ++i) out.data[i] = a.data[i] - b.data[i];
-    return out;
-}
-
-/// Local share truncation by f fractional bits (SecureML-style): both
-/// parties arithmetic-shift their share; the reconstructed value is off
-/// by at most one ulp except with probability ~|x|/2^63 (DESIGN.md §6).
-[[nodiscard]] inline RingTensor truncate_shares(const RingTensor& t, int frac_bits) {
-    RingTensor out(t.shape);
-    for (std::size_t i = 0; i < t.data.size(); ++i)
-        out.data[i] = static_cast<Ring>(static_cast<std::int64_t>(t.data[i]) >> frac_bits);
-    return out;
-}
-
 }  // namespace c2pi::mpc

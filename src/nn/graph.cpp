@@ -258,9 +258,4 @@ std::string Graph::describe() const {
     return os.str();
 }
 
-Shape activation_shape(const Graph& model, const CutPoint& cut, const Shape& input_shape) {
-    Tensor probe(input_shape);
-    return model.infer_range(0, model.flat_cut_index(cut) + 1, probe).shape();
-}
-
 }  // namespace c2pi::nn

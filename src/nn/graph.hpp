@@ -144,8 +144,4 @@ private:
     std::vector<Node> nodes_;
 };
 
-/// Shape of M_l(x) for a given input shape, computed by a cache-free dry run.
-[[nodiscard]] Shape activation_shape(const Graph& model, const CutPoint& cut,
-                                     const Shape& input_shape);
-
 }  // namespace c2pi::nn

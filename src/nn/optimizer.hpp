@@ -35,7 +35,6 @@ class Sgd final : public Optimizer {
 public:
     Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.9F, float weight_decay = 0.0F);
     void step() override;
-    void set_lr(float lr) { lr_ = lr; }
 
 private:
     float lr_, momentum_, weight_decay_;
@@ -48,7 +47,6 @@ public:
     Adam(std::vector<Parameter*> params, float lr, float beta1 = 0.9F, float beta2 = 0.999F,
          float eps = 1e-8F);
     void step() override;
-    void set_lr(float lr) { lr_ = lr; }
 
 private:
     float lr_, beta1_, beta2_, eps_;

@@ -134,8 +134,6 @@ public:
 
     /// Crypto-layer plan (flat layers [0, crypto_end())); architecture only.
     [[nodiscard]] const std::vector<LayerPlan>& plan() const { return artifact_.plan; }
-    /// Ring-encoded weights/biases for the crypto layers (server secret).
-    [[nodiscard]] const std::vector<ServerLayerData>& server_data() const { return server_data_; }
     /// Per-layer HE precompute: encoders + NTT-form weight plaintexts.
     /// Sessions serve straight from this — no weight NTT runs online.
     [[nodiscard]] const std::vector<LayerCache>& layer_caches() const { return layer_caches_; }

@@ -352,18 +352,6 @@ Tensor relu_backward(const Tensor& grad_y, const Tensor& x) {
     return gx;
 }
 
-Tensor sigmoid(const Tensor& x) {
-    Tensor y(x.shape());
-    for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = 1.0F / (1.0F + std::exp(-x[i]));
-    return y;
-}
-
-Tensor tanh_act(const Tensor& x) {
-    Tensor y(x.shape());
-    for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = std::tanh(x[i]);
-    return y;
-}
-
 Tensor softmax(const Tensor& logits) {
     require(logits.rank() == 2, "softmax expects [batch, classes]");
     const std::int64_t n = logits.dim(0), k = logits.dim(1);

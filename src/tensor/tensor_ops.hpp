@@ -81,8 +81,6 @@ struct PoolResult {
 // -- activations / losses ---------------------------------------------------------
 [[nodiscard]] Tensor relu(const Tensor& x);
 [[nodiscard]] Tensor relu_backward(const Tensor& grad_y, const Tensor& x);
-[[nodiscard]] Tensor sigmoid(const Tensor& x);
-[[nodiscard]] Tensor tanh_act(const Tensor& x);
 
 /// Row-wise softmax of logits[n, classes].
 [[nodiscard]] Tensor softmax(const Tensor& logits);

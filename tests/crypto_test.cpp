@@ -13,7 +13,6 @@
 #include "crypto/garbling.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
-#include "crypto/secret_sharing.hpp"
 #include "net/runtime.hpp"
 
 namespace c2pi::crypto {
@@ -123,34 +122,6 @@ TEST(CrHash, TweakSeparatesDomains) {
     const Block128 x{123, 456};
     EXPECT_NE(cr_hash(0, x), cr_hash(1, x));
     EXPECT_EQ(cr_hash(5, x), cr_hash(5, x));
-}
-
-// ---------------------------------------------------------- secret sharing ---
-
-TEST(SecretSharing, ReconstructRecoversValues) {
-    ChaCha20Prg prg(Block128{1, 1});
-    std::vector<Ring> values{0, 1, ~0ULL, 0x123456789ABCDEFULL};
-    const auto shares = share_additive(values, prg);
-    const auto back = reconstruct_additive(shares.share0, shares.share1);
-    EXPECT_EQ(back, values);
-}
-
-TEST(SecretSharing, SharesLookUniform) {
-    ChaCha20Prg prg(Block128{2, 2});
-    std::vector<Ring> values(1000, 42);
-    const auto shares = share_additive(values, prg);
-    // Share0 is raw PRG output: mean of top bit should be ~1/2.
-    std::size_t high = 0;
-    for (const auto s : shares.share0) high += (s >> 63);
-    EXPECT_NEAR(static_cast<double>(high), 500.0, 100.0);
-}
-
-TEST(SecretSharing, BitSharesXorToValue) {
-    ChaCha20Prg prg(Block128{3, 3});
-    std::vector<std::uint8_t> bits{0, 1, 1, 0, 1};
-    const auto sh = share_bits(bits, prg);
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        EXPECT_EQ(bits[i], sh.share0[i] ^ sh.share1[i]);
 }
 
 // -------------------------------------------------------------------- OT ---
