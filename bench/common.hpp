@@ -215,20 +215,19 @@ struct Scale {
             }
         }
         // Phase 2: push later until accuracy is within the drop budget.
+        // The last probe is the boundary: the first cut within budget, or
+        // cuts.back() when none is, reported with the noised accuracy its
+        // probe measured (as pi::search_boundary does).
         const double target = baseline - max_accuracy_drop;
-        r.boundary = cuts.back();
-        r.boundary_accuracy = baseline;
         for (; boundary_idx < static_cast<std::int64_t>(cuts.size()); ++boundary_idx) {
             const auto& cut = cuts[static_cast<std::size_t>(boundary_idx)];
             const double acc =
                 nn::evaluate_accuracy_with_noise_at(model, cut, subset, lambda, 0xACC);
             r.accuracy_sweep.push_back({cut, acc});
-            if (acc >= target) {
-                r.boundary = cut;
-                r.boundary_accuracy = acc;
-                break;
-            }
+            if (acc >= target) break;
         }
+        r.boundary = r.accuracy_sweep.back().cut;
+        r.boundary_accuracy = r.accuracy_sweep.back().noised_accuracy;
         results.push_back(std::move(r));
     }
     return results;
