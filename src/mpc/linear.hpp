@@ -40,7 +40,6 @@ namespace c2pi::mpc {
 struct LinearLayerCache {
     LinearLayerCache(std::span<const Ring> weights, std::span<const Ring> bias2f)
         : weights(weights), bias2f(bias2f) {}
-    virtual ~LinearLayerCache() = default;
 
     [[nodiscard]] virtual const he::LinearLayout& layout() const = 0;
     /// The server's own share through the layer, exact in the ring, plus
@@ -50,6 +49,9 @@ struct LinearLayerCache {
     std::span<const Ring> weights;
     std::span<const Ring> bias2f;
     std::vector<he::PlainNtt> w_ntt;  ///< [response * layout().inputs + input]
+
+protected:
+    ~LinearLayerCache() = default;  // owners hold the concrete cache types
 };
 
 /// Conv cache: one weight plaintext per (output channel, input group).
