@@ -5,7 +5,8 @@ namespace c2pi::he {
 std::vector<Ring> LinearLayout::pack_inputs(std::span<const Ring> x, std::size_t n) const {
     require(x.size() == input_slot.size(), "linear-layer input size mismatch");
     std::vector<Ring> polys(static_cast<std::size_t>(inputs) * n, 0);
-    for (std::size_t i = 0; i < x.size(); ++i) polys[static_cast<std::size_t>(input_slot[i])] = x[i];
+    for (std::size_t i = 0; i < x.size(); ++i)
+        polys[static_cast<std::size_t>(input_slot[i])] = x[i];
     return polys;
 }
 

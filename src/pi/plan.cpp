@@ -172,8 +172,11 @@ std::vector<LayerCache> precompute_layer_caches(const std::vector<LayerPlan>& pl
     std::vector<LayerCache> caches(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
         const LayerPlan& p = plan[i];
-        const std::span<const Ring> weights = data.empty() ? std::span<const Ring>{} : data[i].weights;
-        const std::span<const Ring> bias2f = data.empty() ? std::span<const Ring>{} : data[i].bias2f;
+        std::span<const Ring> weights, bias2f;  // empty: the client's cache
+        if (!data.empty()) {
+            weights = data[i].weights;
+            bias2f = data[i].bias2f;
+        }
         if (p.op == PlanOp::kConv) {
             caches[i].conv = std::make_unique<mpc::ConvLayerCache>(bfv, p.geo, weights, bias2f);
         } else if (p.op == PlanOp::kLinear) {
