@@ -5,8 +5,11 @@ namespace c2pi::he {
 std::vector<Ring> LinearLayout::pack_inputs(std::span<const Ring> x, std::size_t n) const {
     require(x.size() == input_slot.size(), "linear-layer input size mismatch");
     std::vector<Ring> polys(static_cast<std::size_t>(inputs) * n, 0);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        polys[static_cast<std::size_t>(input_slot[i])] = x[i];
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        const auto slot = static_cast<std::size_t>(input_slot[i]);
+        require(slot < polys.size(), "layout built for a larger ring degree");
+        polys[slot] = x[i];
+    }
     return polys;
 }
 

@@ -483,6 +483,16 @@ TEST(MatVecEncoding, HomomorphicMatVecMatchesRingReference) {
     }
 }
 
+TEST(LinearLayout, PackRejectsASmallerRingDegree) {
+    BfvContext::Params params;
+    params.n = 1024;
+    const BfvContext ctx(params);
+    const MatVecEncoder enc(ctx, 600, 2);
+    const std::vector<Ring> x(600, 1);
+    EXPECT_EQ(enc.layout().pack_inputs(x, ctx.n()).size(), ctx.n());
+    EXPECT_THROW((void)enc.layout().pack_inputs(x, 512), Error);
+}
+
 TEST(ConvEncoding, GroupingRespectsRingCapacity) {
     BfvContext::Params params;
     params.n = 1024;
