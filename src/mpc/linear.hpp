@@ -21,7 +21,7 @@
 /// precomputed once (CompiledModel construction) and only the
 /// input-dependent work runs per inference. The per-response ciphertexts
 /// are computed in parallel over the cache's thread pool but SENT in
-/// deterministic channel order, so the wire transcript, the traffic
+/// response order, so the wire transcript, the traffic
 /// accounting and the client's view are bit-identical to the serial
 /// path.
 
