@@ -23,7 +23,7 @@ int main() {
 
     std::printf("%8s  %10s  %10s  %s\n", "conv id", "SSIM", "PSNR (dB)", "verdict (threshold 0.3)");
     double last_success = 0;
-    for (const auto& cut : bench::conv_id_cuts(model)) {
+    for (const auto& cut : pi::candidate_cuts(model, /*include_half_points=*/false)) {
         const Tensor act = attack::noised_activation(model, cut, image, /*lambda=*/0.0F, rng);
         Tensor guess = mla.recover(model, cut, act);
         guess = ops::clamp(guess.reshaped(image.shape()), 0.0F, 1.0F);

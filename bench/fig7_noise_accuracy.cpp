@@ -23,7 +23,7 @@ int main() {
         std::printf("%8s", "conv id");
         for (const float l : lambdas) std::printf("  l=%4.1f", l);
         std::printf("\n");
-        for (const auto& cut : bench::conv_id_cuts(model)) {
+        for (const auto& cut : pi::candidate_cuts(model, /*include_half_points=*/false)) {
             std::printf("%8lld", static_cast<long long>(cut.linear_index));
             for (const float lambda : lambdas) {
                 const double acc = nn::evaluate_accuracy_with_noise_at(model, cut, subset, lambda,

@@ -15,11 +15,7 @@ int main() {
             double baseline = 0.0;
             auto model = bench::load_or_train(model_name, ds_kind, dataset, &baseline);
 
-            const double sigmas[] = {0.3};
-            const auto result =
-                bench::cached_boundary_search(model_name, ds_kind, model, dataset, sigmas,
-                                              /*lambda=*/0.1F, /*max_accuracy_drop=*/0.025,
-                                              /*include_half_points=*/false)[0];
+            const auto result = bench::dina_boundary(model_name, ds_kind, model, dataset, 0.3);
 
             std::printf("\n%s / %s-like   baseline acc %.2f%%\n", model_name.c_str(),
                         ds_kind.c_str(), 100.0 * baseline);

@@ -6,8 +6,8 @@
 // the FSS subsystem, IKNP throughput, and the float conv kernel.
 //
 // Set C2PI_BENCH_JSON=<path> to also write the results as JSON
-// (google-benchmark's native format); C2PI_FAST=1 shrinks min-time for
-// smoke/CI runs.
+// (google-benchmark's native format); C2PI_FAST=1 shrinks min-time and
+// repeats each bench for smoke/CI runs.
 
 #include <benchmark/benchmark.h>
 
@@ -595,11 +595,16 @@ void register_link_benchmarks() {
 // Custom main instead of BENCHMARK_MAIN: environment-driven knobs so the
 // CI perf-trajectory step needs no argument plumbing.
 //  * C2PI_BENCH_JSON=<path> — also write results as JSON to <path>;
-//  * C2PI_FAST=1            — cut per-benchmark min time for smoke runs
-//                             and skip the sleep-calibrated link pair.
+//  * C2PI_FAST=1            — cut per-benchmark min time for smoke runs,
+//                             repeat each bench kFastRepetitions times
+//                             (scripts/bench_diff.py gates on the median;
+//                             the flag, unlike Repetitions(), keeps the
+//                             names the baseline uses) and skip the
+//                             sleep-calibrated link pair.
 int main(int argc, char** argv) {
     std::vector<char*> args(argv, argv + argc);
-    std::string out_flag, fmt_flag, fast_flag;
+    constexpr int kFastRepetitions = 5;
+    std::string out_flag, fmt_flag, fast_flag, reps_flag;
     if (const char* path = std::getenv("C2PI_BENCH_JSON"); path != nullptr && path[0] != '\0') {
         out_flag = std::string("--benchmark_out=") + path;
         fmt_flag = "--benchmark_out_format=json";
@@ -610,7 +615,9 @@ int main(int argc, char** argv) {
     const bool fast_mode = fast != nullptr && fast[0] == '1';
     if (fast_mode) {
         fast_flag = "--benchmark_min_time=0.01";
+        reps_flag = "--benchmark_repetitions=" + std::to_string(kFastRepetitions);
         args.push_back(fast_flag.data());
+        args.push_back(reps_flag.data());
     } else {
         register_link_benchmarks();
     }

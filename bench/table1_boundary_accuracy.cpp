@@ -1,7 +1,7 @@
 // Table I reproduction: C2PI boundary and accuracy for two DINA failure
 // thresholds (sigma = 0.2 and 0.3) across the six model x dataset
-// combinations. One SSIM sweep per combination serves both thresholds
-// (the sweep records avg SSIM at every probed cut).
+// combinations. Both thresholds share the memoized DINA probes, so the
+// second search refits nothing.
 
 #include "bench/common.hpp"
 
@@ -20,18 +20,12 @@ Row run_combo(const std::string& model_name, const std::string& ds_kind) {
     Row row{};
     auto model = bench::load_or_train(model_name, ds_kind, dataset, &row.baseline);
 
-    // One tail-to-head DINA sweep serves both thresholds (Algorithm 1 with
-    // shared phase-1 probes; integer conv-id cuts keep the sweep
-    // tractable; the paper additionally probes .5 positions).
-    const double sigmas[] = {0.2, 0.3};
-    const auto results =
-        bench::cached_boundary_search(model_name, ds_kind, model, dataset, sigmas,
-                                      /*lambda=*/0.1F, /*max_accuracy_drop=*/0.025,
-                                      /*include_half_points=*/false);
-    row.b02 = results[0].boundary;
-    row.acc02 = results[0].boundary_accuracy;
-    row.b03 = results[1].boundary;
-    row.acc03 = results[1].boundary_accuracy;
+    const auto r02 = bench::dina_boundary(model_name, ds_kind, model, dataset, 0.2);
+    const auto r03 = bench::dina_boundary(model_name, ds_kind, model, dataset, 0.3);
+    row.b02 = r02.boundary;
+    row.acc02 = r02.boundary_accuracy;
+    row.b03 = r03.boundary;
+    row.acc03 = r03.boundary_accuracy;
     return row;
 }
 

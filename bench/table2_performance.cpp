@@ -44,12 +44,10 @@ int main() {
     for (const std::string model_name : {"vgg16", "vgg19"}) {
         auto model = bench::load_or_train(model_name, "CIFAR-10", dataset);
         std::printf("\n=== %s ===\n", model_name.c_str());
-        const double sigmas[] = {0.2, 0.3};
-        const auto boundaries = bench::cached_boundary_search(
-            model_name, "CIFAR-10", model, dataset, sigmas, 0.1F, 0.025,
-            /*include_half_points=*/false);
-        const nn::CutPoint b02 = boundaries[0].boundary;
-        const nn::CutPoint b03 = boundaries[1].boundary;
+        const nn::CutPoint b02 =
+            bench::dina_boundary(model_name, "CIFAR-10", model, dataset, 0.2).boundary;
+        const nn::CutPoint b03 =
+            bench::dina_boundary(model_name, "CIFAR-10", model, dataset, 0.3).boundary;
         std::printf("  boundaries: sigma=0.2 -> conv %.1f, sigma=0.3 -> conv %.1f\n",
                     b02.as_decimal(), b03.as_decimal());
 

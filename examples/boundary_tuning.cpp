@@ -2,16 +2,19 @@
 // trade PI cost against the guaranteed privacy level by tuning the DINA
 // failure threshold sigma. This example runs Algorithm 1 at several
 // thresholds on AlexNet and shows how the boundary, accuracy and
-// end-to-end cost move together.
+// end-to-end cost move together. The thresholds share one memoized DINA
+// probe, so each cut is attacked once however many sweeps reach it.
 //
 // Build & run:  ./build/examples/boundary_tuning
 
 #include <cstdio>
+#include <map>
 
 #include "attack/inverse.hpp"
 #include "nn/zoo.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 int main() {
     using namespace c2pi;
@@ -45,13 +48,12 @@ int main() {
     const Tensor input = dataset.test()[0].image.reshaped({1, 3, 16, 16});
 
     // Full-PI reference cost.
-    pi::C2piOptions base;
-    base.backend = pi::PiBackend::kCheetah;
-    base.he_ring_degree = 1024;
-    const pi::CompiledModel full(model,
-                                 {.input_chw = {3, 16, 16}, .he_ring_degree = base.he_ring_degree});
-    const auto full_res =
-        pi::run_private_inference(full, pi::SessionConfig{.backend = base.backend}, input);
+    const std::size_t ring = 1024;
+    pi::SessionConfig session;
+    session.backend = pi::PiBackend::kCheetah;
+    const pi::CompiledModel full(
+        model, {.input_chw = {3, 16, 16}, .boundary = std::nullopt, .he_ring_degree = ring});
+    const auto full_res = pi::run_private_inference(full, session, input);
     const double full_wan = full_res.stats.latency_seconds(net::NetworkModel::wan());
     const double full_mb = static_cast<double>(full_res.stats.total_bytes()) / (1024.0 * 1024.0);
     std::printf("%8s  %10s  %10s  %12s  %12s\n", "sigma", "boundary", "accuracy", "WAN latency",
@@ -59,20 +61,30 @@ int main() {
     std::printf("%8s  %10s  %10.1f%%  %9.3fs   %9.2f MB   (full PI reference)\n", "-", "full",
                 100.0 * rep.final_test_accuracy, full_wan, full_mb);
 
+    pi::BoundaryConfig search;
+    search.noise_lambda = 0.1F;
+    search.max_accuracy_drop = 0.025;
+    search.attack_eval_samples = 6;
+    const pi::SsimProbeFn dina_probe = pi::idpa_probe(model, dataset, dina, search);
+    std::map<double, double> ssim_at_cut;
+    const pi::SsimProbeFn memoized = [&](const nn::CutPoint& cut) {
+        const auto [it, fresh] = ssim_at_cut.try_emplace(cut.as_decimal());
+        if (fresh) it->second = dina_probe(cut);
+        return it->second;
+    };
+    session.noise_lambda = search.noise_lambda;  // C2PI: the client noises its boundary share
+
     for (const double sigma : {0.5, 0.3, 0.2}) {
-        pi::C2piOptions opts = base;
-        opts.boundary.ssim_threshold = sigma;
-        opts.boundary.noise_lambda = 0.1F;
-        opts.boundary.max_accuracy_drop = 0.025;
-        opts.boundary.attack_eval_samples = 6;
-        pi::C2piSystem system(model, dataset, dina, opts);
-        const auto res = system.infer(input);
+        search.ssim_threshold = sigma;
+        const auto found = pi::search_boundary(model, dataset, memoized, search);
+        const pi::CompiledModel compiled(
+            model, {.input_chw = {3, 16, 16}, .boundary = found.boundary, .he_ring_degree = ring});
+        const auto res = pi::run_private_inference(compiled, session, input);
         const double wan = res.stats.latency_seconds(net::NetworkModel::wan());
         const double mb = static_cast<double>(res.stats.total_bytes()) / (1024.0 * 1024.0);
         std::printf("%8.1f  %10.1f  %10.1f%%  %9.3fs   %9.2f MB   (%.2fx faster, %.2fx less comm)\n",
-                    sigma, system.boundary().boundary.as_decimal(),
-                    100.0 * system.boundary().boundary_accuracy, wan, mb, full_wan / wan,
-                    full_mb / mb);
+                    sigma, found.boundary.as_decimal(), 100.0 * found.boundary_accuracy, wan, mb,
+                    full_wan / wan, full_mb / mb);
         std::fflush(stdout);
     }
 

@@ -61,23 +61,24 @@ MACHINE_KEYS = ("he_kernels", "num_threads", "num_cpus")
 
 def load_benchmarks(path):
     """(name -> real_time in ns, machine context). Aggregate entries
-    (mean/median/stddev) are skipped; C2PI_FAST runs emit one plain entry
-    per bench."""
+    (mean/median/stddev) are skipped; a name with several iteration entries
+    (one per repetition: C2PI_FAST runs repeat every bench) counts at their
+    median, so one noisy repetition cannot move the gate."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     context = doc.get("context", {})
     machine = {key: str(context.get(key, "unknown")) for key in MACHINE_KEYS}
-    result = {}
+    samples = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
         unit = bench.get("time_unit", "ns")
         if unit not in TIME_UNITS:
             raise SystemExit(f"{path}: unknown time_unit '{unit}' in {bench.get('name')}")
-        result[bench["name"]] = float(bench["real_time"]) * TIME_UNITS[unit]
-    if not result:
+        samples.setdefault(bench["name"], []).append(float(bench["real_time"]) * TIME_UNITS[unit])
+    if not samples:
         raise SystemExit(f"{path}: no benchmark entries")
-    return result, machine
+    return {name: statistics.median(times) for name, times in samples.items()}, machine
 
 
 def main():

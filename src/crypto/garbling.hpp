@@ -28,8 +28,6 @@ struct Garbling {
     [[nodiscard]] Block128 evaluator_label(std::size_t i, bool bit) const {
         return bit ? evaluator_zero_labels[i] ^ delta : evaluator_zero_labels[i];
     }
-
-    [[nodiscard]] std::size_t table_bytes() const { return tables.size() * sizeof(Block128); }
 };
 
 /// Garble one circuit instance with fresh randomness from `prg`.

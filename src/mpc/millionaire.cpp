@@ -214,15 +214,4 @@ std::vector<Ring> relu_shares_ot(PartyContext& ctx, std::span<const Ring> y_shar
     return mux_shares(ctx, b, y_share);
 }
 
-std::vector<Ring> max_pairwise_ot(PartyContext& ctx, std::span<const Ring> a_share,
-                                  std::span<const Ring> b_share) {
-    require(a_share.size() == b_share.size(), "max operand size mismatch");
-    std::vector<Ring> diff(a_share.size());
-    for (std::size_t i = 0; i < diff.size(); ++i) diff[i] = b_share[i] - a_share[i];
-    const auto relu_diff = relu_shares_ot(ctx, diff);
-    std::vector<Ring> out(a_share.size());
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = a_share[i] + relu_diff[i];
-    return out;
-}
-
 }  // namespace c2pi::mpc

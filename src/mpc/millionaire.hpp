@@ -39,10 +39,4 @@ using BitVec = std::vector<std::uint8_t>;
 /// relu(y) elementwise.
 [[nodiscard]] std::vector<Ring> relu_shares_ot(PartyContext& ctx, std::span<const Ring> y_share);
 
-/// max over non-overlapping windows: values laid out so that each window's
-/// k elements are strided; used by the OT-backend MaxPool. Computes the
-/// tournament with batched relu on differences.
-[[nodiscard]] std::vector<Ring> max_pairwise_ot(PartyContext& ctx, std::span<const Ring> a_share,
-                                                std::span<const Ring> b_share);
-
 }  // namespace c2pi::mpc

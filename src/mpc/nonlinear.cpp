@@ -140,24 +140,24 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
     return out;
 }
 
-/// The garbler's output share: n fresh draws from the party PRG.
-std::vector<Ring> pick_fresh(PartyContext& ctx, std::size_t n) {
-    std::vector<Ring> fresh(n);
-    for (auto& v : fresh) v = ctx.prg().next_u64();
+/// One batched GC evaluation of `circuit` over n elements, reshared: the
+/// client (garbler) draws its output share r fresh from the party PRG and
+/// garbles with -r folded in, so the server (evaluator) decodes out - r.
+std::vector<Ring> gc_reshared(PartyContext& ctx, const crypto::Circuit& circuit,
+                              const std::vector<std::span<const Ring>>& shares, std::size_t n) {
+    if (ctx.is_server()) return gc_batch_evaluator(ctx, circuit, shares, n);
+    std::vector<Ring> fresh(n), neg_r(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        fresh[i] = ctx.prg().next_u64();
+        neg_r[i] = Ring{0} - fresh[i];
+    }
+    gc_batch_garbler(ctx, circuit, shares, neg_r);
     return fresh;
 }
 
 std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_share) {
-    const std::size_t n = y_share.size();
     static const crypto::Circuit circuit = crypto::build_relu_circuit(64);
-    if (ctx.is_server()) {
-        return gc_batch_evaluator(ctx, circuit, {y_share}, n);
-    }
-    const auto fresh = pick_fresh(ctx, n);
-    std::vector<Ring> neg_r(n);
-    for (std::size_t i = 0; i < n; ++i) neg_r[i] = Ring{0} - fresh[i];
-    gc_batch_garbler(ctx, circuit, {y_share}, neg_r);
-    return fresh;
+    return gc_reshared(ctx, circuit, {y_share}, y_share.size());
 }
 
 /// FSS backend: take this layer's keys from the session's dealt batch,
@@ -171,18 +171,6 @@ std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_sha
     const auto z = reveal_shares(ctx, masked);
     std::vector<Ring> out(n);
     fss::eval_relu_batch(keys, ctx.party(), z, out);
-    return out;
-}
-
-/// max(a, b) = a + ReLU(b - a), elementwise over shares (FSS flavour of
-/// millionaire.hpp's max_pairwise_ot).
-std::vector<Ring> max_pairwise_fss(PartyContext& ctx, std::span<const Ring> a,
-                                   std::span<const Ring> b) {
-    require(a.size() == b.size(), "max_pairwise_fss size mismatch");
-    std::vector<Ring> diff(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) diff[i] = b[i] - a[i];
-    auto out = relu_shares_fss(ctx, diff);
-    for (std::size_t i = 0; i < a.size(); ++i) out[i] += a[i];
     return out;
 }
 
@@ -220,39 +208,32 @@ RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int
                     }
             }
 
-    std::vector<Ring> result;
     if (backend == NonlinearBackend::kGarbledCircuit) {
         // The circuit cache is scoped to the session's compiled model
         // (mpc/gc_cache.hpp) rather than process-wide, so concurrent
         // sessions of different models never contend on its lock.
         const crypto::Circuit& circuit = ctx.gc_cache().max_circuit(static_cast<int>(k2));
-        std::vector<std::span<const Ring>> spans;
-        spans.reserve(k2);
-        for (const auto& lane : lanes) spans.emplace_back(lane);
-        if (ctx.is_server()) {
-            result = gc_batch_evaluator(ctx, circuit, spans, windows);
-        } else {
-            const auto fresh = pick_fresh(ctx, windows);
-            std::vector<Ring> neg_r(windows);
-            for (std::size_t i = 0; i < windows; ++i) neg_r[i] = Ring{0} - fresh[i];
-            gc_batch_garbler(ctx, circuit, spans, neg_r);
-            result = fresh;
-        }
-    } else {
-        // OT and FSS backends: binary tournament of batched pairwise max.
-        std::vector<std::vector<Ring>> round = std::move(lanes);
-        while (round.size() > 1) {
-            std::vector<std::vector<Ring>> next;
-            for (std::size_t i = 0; i + 1 < round.size(); i += 2)
-                next.push_back(backend == NonlinearBackend::kFss
-                                   ? max_pairwise_fss(ctx, round[i], round[i + 1])
-                                   : max_pairwise_ot(ctx, round[i], round[i + 1]));
-            if (round.size() % 2 == 1) next.push_back(std::move(round.back()));
-            round = std::move(next);
-        }
-        result = std::move(round[0]);
+        const std::vector<std::span<const Ring>> spans(lanes.begin(), lanes.end());
+        return RingTensor({c, oh, ow}, gc_reshared(ctx, circuit, spans, windows));
     }
-    return RingTensor({c, oh, ow}, std::move(result));
+    // OT and FSS backends: binary tournament of batched pairwise max,
+    // max(a, b) = a + ReLU(b - a) elementwise over shares.
+    std::vector<std::vector<Ring>> round = std::move(lanes);
+    while (round.size() > 1) {
+        std::vector<std::vector<Ring>> next;
+        for (std::size_t i = 0; i + 1 < round.size(); i += 2) {
+            const std::vector<Ring>& a = round[i];
+            const std::vector<Ring>& b = round[i + 1];
+            std::vector<Ring> diff(a.size());
+            for (std::size_t e = 0; e < a.size(); ++e) diff[e] = b[e] - a[e];
+            std::vector<Ring> out = secure_relu(ctx, diff, backend);
+            for (std::size_t e = 0; e < a.size(); ++e) out[e] += a[e];
+            next.push_back(std::move(out));
+        }
+        if (round.size() % 2 == 1) next.push_back(std::move(round.back()));
+        round = std::move(next);
+    }
+    return RingTensor({c, oh, ow}, std::move(round[0]));
 }
 
 std::vector<Ring> reveal_shares(PartyContext& ctx, std::span<const Ring> share) {

@@ -25,9 +25,18 @@ std::vector<nn::CutPoint> candidate_cuts(const nn::Graph& model, bool include_ha
     return cuts;
 }
 
+SsimProbeFn idpa_probe(nn::Graph& model, const data::SyntheticImageDataset& dataset,
+                       attack::IdpaFactory make_attack, const BoundaryConfig& config) {
+    return [&model, &dataset, make_attack = std::move(make_attack),
+            samples = config.attack_eval_samples, lambda = config.noise_lambda,
+            seed = config.seed ^ 0x517](const nn::CutPoint& cut) {
+        const auto attack = make_attack();
+        return attack::evaluate_idpa(*attack, model, cut, dataset, samples, lambda, seed).avg_ssim;
+    };
+}
+
 BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDataset& dataset,
-                               const attack::IdpaFactory& make_attack,
-                               const BoundaryConfig& config) {
+                               const SsimProbeFn& probe, const BoundaryConfig& config) {
     const auto cuts = candidate_cuts(model, config.include_half_points);
     require(!cuts.empty(), "model has no sweepable cut points");
 
@@ -37,15 +46,12 @@ BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDatas
     result.baseline_accuracy = nn::evaluate_accuracy(model, acc_subset);
 
     // ---- Phase 1: sweep from the tail until the IDPA first succeeds ----
-    std::int64_t idx = static_cast<std::int64_t>(cuts.size()) - 1;
     std::int64_t first_success = -1;  // index where avg_ssim >= sigma
-    for (; idx >= 0; --idx) {
-        const auto attack = make_attack();
-        const auto eval = attack::evaluate_idpa(*attack, model, cuts[static_cast<std::size_t>(idx)],
-                                                dataset, config.attack_eval_samples,
-                                                config.noise_lambda, config.seed ^ 0x517);
-        result.ssim_sweep.push_back({cuts[static_cast<std::size_t>(idx)], eval.avg_ssim});
-        if (eval.avg_ssim >= config.ssim_threshold) {
+    for (std::int64_t idx = static_cast<std::int64_t>(cuts.size()) - 1; idx >= 0; --idx) {
+        const auto& cut = cuts[static_cast<std::size_t>(idx)];
+        const double ssim = probe(cut);
+        result.ssim_sweep.push_back({cut, ssim});
+        if (ssim >= config.ssim_threshold) {
             first_success = idx;
             break;
         }
@@ -58,24 +64,18 @@ BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDatas
                                                    static_cast<std::int64_t>(cuts.size()) - 1);
 
     // ---- Phase 2: push the boundary later until accuracy is acceptable ----
+    // The last probe is the boundary: the first cut within the drop budget,
+    // or the last sweepable cut (conservative) when none is.
     const double target = result.baseline_accuracy - config.max_accuracy_drop;
     for (; boundary_idx < static_cast<std::int64_t>(cuts.size()); ++boundary_idx) {
         const auto& cut = cuts[static_cast<std::size_t>(boundary_idx)];
         const double acc = nn::evaluate_accuracy_with_noise_at(
             model, cut, acc_subset, config.noise_lambda, config.seed ^ 0xACC);
         result.accuracy_sweep.push_back({cut, acc});
-        if (acc >= target) {
-            result.boundary = cut;
-            result.boundary_accuracy = acc;
-            return result;
-        }
+        if (acc >= target) break;
     }
-    // No cut satisfies the accuracy constraint: fall back to full PI on
-    // the last sweepable cut (conservative).
-    result.boundary = cuts.back();
-    result.boundary_accuracy = result.accuracy_sweep.empty()
-                                   ? result.baseline_accuracy
-                                   : result.accuracy_sweep.back().noised_accuracy;
+    result.boundary = result.accuracy_sweep.back().cut;
+    result.boundary_accuracy = result.accuracy_sweep.back().noised_accuracy;
     return result;
 }
 

@@ -30,15 +30,11 @@ struct C2piOptions {
 /// search + one compilation, then serve-many.
 class C2piSystem {
 public:
-    /// Server-side setup: run Algorithm 1 with the given IDPA, then
-    /// compile the model once for the discovered boundary. The input
-    /// shape is taken from the dataset's samples.
+    /// Server-side setup: run Algorithm 1 over the given IDPA's probe
+    /// (idpa_probe), then compile the model once for the discovered
+    /// boundary. The input shape is taken from the dataset's samples.
     C2piSystem(nn::Graph& model, const data::SyntheticImageDataset& dataset,
                const attack::IdpaFactory& make_attack, const C2piOptions& options);
-
-    /// Setup with a pre-computed boundary (skips Algorithm 1).
-    C2piSystem(const nn::Graph& model, const nn::CutPoint& boundary,
-               const Shape& input_chw, const C2piOptions& options);
 
     /// One private inference; see run_private_inference.
     [[nodiscard]] PiResult infer(const Tensor& input) const {

@@ -2,44 +2,13 @@
 
 namespace c2pi::pi {
 
-namespace {
-
-/// Verify that a (possibly wire-received) artifact describes exactly the
-/// crypto prefix this model would plan: same architecture, geometry and
-/// boundary, field for field. Serving weights against a mismatched
-/// artifact would fail deep inside the protocol — or worse, succeed with
-/// a transcript the client misinterprets.
-ModelArtifact checked_against(ModelArtifact artifact, const nn::Graph& model) {
-    artifact.validate();
-    require(model.num_linear_ops() == artifact.num_linear_ops,
-            "artifact/model mismatch: different linear-op counts");
-    require(model.flat_cut_index(artifact.cut) + 1 == artifact.plan.size(),
-            "artifact/model mismatch: boundary maps to a different flat layer");
-    require(plan_layers(model, artifact.input_chw, artifact.plan.size()) == artifact.plan,
-            "artifact/model mismatch: the model plans a different crypto prefix");
-    return artifact;
-}
-
-}  // namespace
-
 CompiledModel::CompiledModel(const nn::Graph& model, Options options)
-    : CompiledModel(TrustedArtifact{ModelArtifact::build(
-                        model, {.input_chw = std::move(options.input_chw),
-                                .boundary = options.boundary,
-                                .fmt = options.fmt,
-                                .he_ring_degree = options.he_ring_degree})},
-                    model, options.num_threads) {}
-
-CompiledModel::CompiledModel(ModelArtifact artifact, const nn::Graph& model,
-                             int num_threads)
-    : CompiledModel(TrustedArtifact{checked_against(std::move(artifact), model)}, model,
-                    num_threads) {}
-
-CompiledModel::CompiledModel(TrustedArtifact trusted, const nn::Graph& model,
-                             int num_threads)
     : model_(&model),
-      artifact_(std::move(trusted.artifact)),
-      pool_(core::make_serving_pool(num_threads)),
+      artifact_(ModelArtifact::build(model, {.input_chw = std::move(options.input_chw),
+                                             .boundary = options.boundary,
+                                             .fmt = options.fmt,
+                                             .he_ring_degree = options.he_ring_degree})),
+      pool_(core::make_serving_pool(options.num_threads)),
       server_data_(extract_server_data(model, artifact_.plan.size(), artifact_.fmt)),
       bfv_(artifact_.bfv_params(pool_.get())),
       layer_caches_(precompute_layer_caches(artifact_.plan, server_data_, bfv_)) {}

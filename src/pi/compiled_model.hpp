@@ -6,8 +6,8 @@
 /// A `CompiledModel` embeds the public `pi::ModelArtifact` (architecture,
 /// boundary, formats — everything the client may learn, artifact.hpp) and
 /// adds the server secrets derived from the trained weights: ring-encoded
-/// weights/biases (`server_data()`) and the precomputed NTT-form weight
-/// plaintexts (`layer_caches()`). It is built exactly once per (model,
+/// weights/biases and the precomputed NTT-form weight plaintexts they
+/// feed (`layer_caches()`). It is built exactly once per (model,
 /// boundary, format, HE parameters) and is immutable afterwards, so a
 /// single `const CompiledModel` can back any number of concurrent
 /// `ServerSession`s (session.hpp), e.g. those of a `pi::ServingPool`
@@ -115,12 +115,6 @@ public:
     /// c2pi::Error on invalid options.
     CompiledModel(const nn::Graph& model, Options options);
 
-    /// Compiles server secrets for an existing public artifact (e.g. one
-    /// agreed with clients out of band). Verifies that the artifact's
-    /// plan matches `model` exactly — a mismatched pairing throws instead
-    /// of serving a protocol the client's artifact cannot describe.
-    CompiledModel(ModelArtifact artifact, const nn::Graph& model, int num_threads = 0);
-
     CompiledModel(const CompiledModel&) = delete;
     CompiledModel& operator=(const CompiledModel&) = delete;
 
@@ -172,15 +166,6 @@ public:
     [[nodiscard]] mpc::GcCircuitCache& gc_cache() const { return gc_cache_; }
 
 private:
-    /// Tag for artifacts that need no model cross-check: the local
-    /// compile path just built its artifact FROM the model, so re-running
-    /// plan_layers to compare the plan against itself would only double
-    /// the compile cost. Foreign artifacts go through checked_against.
-    struct TrustedArtifact {
-        ModelArtifact artifact;
-    };
-    CompiledModel(TrustedArtifact trusted, const nn::Graph& model, int num_threads);
-
     const nn::Graph* model_;
     ModelArtifact artifact_;
     /// Initialized before server_data_ so an invalid num_threads fails at

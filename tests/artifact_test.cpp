@@ -214,19 +214,6 @@ TEST(ArtifactCodec, RejectsCorruptPlan) {
     }
 }
 
-TEST(ArtifactModelBinding, CompiledModelRejectsForeignArtifact) {
-    // Serving weights against an artifact for a DIFFERENT architecture
-    // must throw at compile time, not fail mid-protocol.
-    const nn::Sequential model = demo::make_demo_model();
-    ModelArtifact other = demo_artifact();
-    other.plan[0].geo.kernel = 1;  // not what this model plans
-    other.plan[0].geo.pad = 0;
-    EXPECT_THROW(CompiledModel(other, model), Error);
-
-    // The untampered artifact pairs fine.
-    EXPECT_NO_THROW(CompiledModel(demo_artifact(), model));
-}
-
 // ------------------------------------------------- weightless-client parity ---
 
 void expect_pi_stats_equal(const PiStats& a, const PiStats& b, const char* what) {

@@ -204,7 +204,7 @@ TEST(Zoo, UnknownIdThrowsTypedError) {
     EXPECT_THROW(nn::zoo::build("resnet50", cfg), nn::zoo::UnknownModel);
     // The typed error names the bad id and the known catalogue.
     try {
-        nn::zoo::build("resnet50", cfg);
+        (void)nn::zoo::build("resnet50", cfg);
         FAIL() << "expected UnknownModel";
     } catch (const nn::zoo::UnknownModel& e) {
         EXPECT_NE(std::string(e.what()).find("resnet50"), std::string::npos);

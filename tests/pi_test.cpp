@@ -2,11 +2,14 @@
 // framework: full PI (both backends) must reproduce plaintext inference
 // within fixed-point tolerance; C2PI must agree with plaintext when noise
 // is off, hide the clear layers, and cost less than full PI; Algorithm 1
-// is unit-tested with a scripted IDPA. Concurrency and batching tests
+// is unit-tested with scripted SSIM probes, and C2piSystem with a scripted
+// IDPA behind idpa_probe. Concurrency and batching tests
 // for the serving API live in service_test.cpp; the ModelArtifact codec
 // and the weightless-client path live in artifact_test.cpp.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "attack/idpa.hpp"
 #include "crypto/ot.hpp"
@@ -173,9 +176,17 @@ TEST(C2pi, DelphiBackendAlsoSupportsBoundary) {
 
 // ------------------------------------------------------------ Algorithm 1 ---
 
-/// Scripted IDPA: "succeeds" (returns the true image) iff the cut is at or
-/// before `success_until`; otherwise returns noise. Lets us unit-test the
-/// search logic deterministically.
+/// Scripted SSIM probe: the attack "succeeds" (SSIM 1) iff the cut is at
+/// or before `success_until`, and fails (SSIM 0) after it. Lets us
+/// unit-test the search logic deterministically.
+SsimProbeFn scripted_probe(double success_until) {
+    return [success_until](const nn::CutPoint& cut) {
+        return cut.as_decimal() <= success_until ? 1.0 : 0.0;
+    };
+}
+
+/// Scripted IDPA with the same schedule: returns the true image at or
+/// before `success_until`, noise after it.
 class ScriptedIdpa final : public attack::Idpa {
 public:
     ScriptedIdpa(double success_until, const data::SyntheticImageDataset& dataset)
@@ -247,10 +258,8 @@ TEST(BoundarySearch, FindsBoundaryAfterAttackSuccessPoint) {
     cfg.ssim_threshold = 0.3;
     cfg.noise_lambda = 0.0F;
     cfg.max_accuracy_drop = 1.0;  // phase 2 always satisfied
-    cfg.attack_eval_samples = 4;
     // Attack succeeds up to cut 3.5; the boundary must be the next cut (4).
-    const auto result = search_boundary(
-        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(3.5, fx.dataset); }, cfg);
+    const auto result = search_boundary(fx.model, fx.dataset, scripted_probe(3.5), cfg);
     EXPECT_EQ(result.boundary.linear_index, 4);
     EXPECT_FALSE(result.boundary.after_relu);
 }
@@ -259,10 +268,8 @@ TEST(BoundarySearch, AttackNeverSucceedsGivesEarliestCut) {
     BoundaryFixture fx;
     BoundaryConfig cfg;
     cfg.max_accuracy_drop = 1.0;
-    cfg.attack_eval_samples = 4;
     cfg.noise_lambda = 0.0F;
-    const auto result = search_boundary(
-        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(0.0, fx.dataset); }, cfg);
+    const auto result = search_boundary(fx.model, fx.dataset, scripted_probe(0.0), cfg);
     EXPECT_EQ(result.boundary.linear_index, 1);
     EXPECT_FALSE(result.boundary.after_relu);
 }
@@ -270,11 +277,9 @@ TEST(BoundarySearch, AttackNeverSucceedsGivesEarliestCut) {
 TEST(BoundarySearch, AccuracyPhasePushesBoundaryLater) {
     BoundaryFixture fx;
     BoundaryConfig cfg;
-    cfg.attack_eval_samples = 4;
     cfg.noise_lambda = 30.0F;       // catastrophic noise at every cut
     cfg.max_accuracy_drop = 0.05;   // demand near-baseline accuracy
-    const auto result = search_boundary(
-        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(1.0, fx.dataset); }, cfg);
+    const auto result = search_boundary(fx.model, fx.dataset, scripted_probe(1.0), cfg);
     // Phase 1 stops at cut 1 (success) -> potential boundary 1.5; heavy
     // noise pushes phase 2 strictly later than that.
     EXPECT_GT(result.boundary.as_decimal(), 1.5);
@@ -285,16 +290,46 @@ TEST(BoundarySearch, SsimSweepIsTailToHead) {
     BoundaryFixture fx;
     BoundaryConfig cfg;
     cfg.max_accuracy_drop = 1.0;
-    cfg.attack_eval_samples = 4;
     cfg.noise_lambda = 0.0F;
-    const auto result = search_boundary(
-        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(2.0, fx.dataset); }, cfg);
+    const auto result = search_boundary(fx.model, fx.dataset, scripted_probe(2.0), cfg);
     ASSERT_GE(result.ssim_sweep.size(), 2U);
     for (std::size_t i = 1; i < result.ssim_sweep.size(); ++i)
         EXPECT_GT(result.ssim_sweep[i - 1].cut.as_decimal(),
                   result.ssim_sweep[i].cut.as_decimal());
     // The last probe is the first success.
     EXPECT_GE(result.ssim_sweep.back().avg_ssim, cfg.ssim_threshold);
+}
+
+TEST(BoundarySearch, ProbesEachCutOnceTailToHeadUntilFirstSuccess) {
+    BoundaryFixture fx;
+    BoundaryConfig cfg;
+    cfg.max_accuracy_drop = 1.0;
+    cfg.noise_lambda = 0.0F;
+    const auto cuts = candidate_cuts(fx.model, cfg.include_half_points);
+    const std::vector<nn::CutPoint> tail_to_head(cuts.rbegin(), cuts.rend());
+
+    for (const double success_until : {2.5, 0.0}) {
+        std::vector<nn::CutPoint> asked;
+        const auto result = search_boundary(
+            fx.model, fx.dataset,
+            [&](const nn::CutPoint& cut) {
+                asked.push_back(cut);
+                return scripted_probe(success_until)(cut);
+            },
+            cfg);
+        // Every cut from the tail down to the first success (cut 2.5), each
+        // once; a probe that never succeeds is asked every cut once.
+        const auto first_success = std::find_if(
+            tail_to_head.begin(), tail_to_head.end(),
+            [&](const nn::CutPoint& cut) { return cut.as_decimal() <= success_until; });
+        const std::vector<nn::CutPoint> want(
+            tail_to_head.begin(),
+            first_success == tail_to_head.end() ? first_success : first_success + 1);
+        EXPECT_EQ(asked, want) << "success_until=" << success_until;
+        ASSERT_EQ(result.ssim_sweep.size(), asked.size());
+        for (std::size_t i = 0; i < asked.size(); ++i)
+            EXPECT_EQ(result.ssim_sweep[i].cut, asked[i]);
+    }
 }
 
 TEST(C2piSystem, EndToEndWithScriptedAttack) {
