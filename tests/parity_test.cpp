@@ -13,8 +13,9 @@
 //    in-process DuplexChannel — same logits, same per-phase accounting.
 //
 // Pinned SHA-256 digests of the HE linear transcripts (MpcLinearDigest)
-// tie those paths to fixed bytes, so a rewrite of the protocol body must
-// reproduce the wire exactly.
+// and of the OT and GC nonlinear layers (MpcNonlinearDigest) tie those
+// paths to fixed bytes, so a rewrite of the protocol body must reproduce
+// the wire exactly.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "crypto/hash.hpp"
 #include "he/kernels.hpp"
 #include "mpc/linear.hpp"
+#include "mpc/nonlinear.hpp"
 #include "net/runtime.hpp"
 #include "net/tcp.hpp"
 #include "pi/session.hpp"
@@ -297,6 +299,58 @@ TEST(MpcLinearDigest, MatvecPartialLastBlock) {
     expect_digests(tr,
                    "3431c933ba313339ee3ab0d43a7ceb7830833153cffdbfa2e93d4861f65d9c6b",
                    "e108a454374984e3ffb670e11838b83dedd503591024c4bf4102112a3af5e753");
+}
+
+// The same pinning for the OT and GC nonlinear layers. Sizes end mid-way
+// through every batching unit: the OT hash chunks, the GC lockstep lane
+// groups and (600 > 512) the GC flight chunk.
+
+Transcript run_relu(mpc::NonlinearBackend backend, std::size_t n) {
+    const auto x0 = random_ring(n, 31);
+    const auto x1 = random_ring(n, 32);
+    const he::BfvContext bfv({.n = 1024, .limbs = 2, .noise_bound = 4});
+    return run_recorded(
+        bfv, [&](mpc::PartyContext& ctx) { return mpc::secure_relu(ctx, x0, backend); },
+        [&](mpc::PartyContext& ctx) { return mpc::secure_relu(ctx, x1, backend); });
+}
+
+Transcript run_maxpool(mpc::NonlinearBackend backend) {
+    const Shape shape{3, 6, 6};
+    const auto x0 = random_ring(3 * 6 * 6, 33);
+    const auto x1 = random_ring(3 * 6 * 6, 34);
+    const he::BfvContext bfv({.n = 1024, .limbs = 2, .noise_bound = 4});
+    return run_recorded(
+        bfv,
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_maxpool(ctx, mpc::RingTensor(shape, x0), 2, 2, backend).data;
+        },
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_maxpool(ctx, mpc::RingTensor(shape, x1), 2, 2, backend).data;
+        });
+}
+
+TEST(MpcNonlinearDigest, OtRelu) {
+    expect_digests(run_relu(mpc::NonlinearBackend::kOtMillionaire, 1000),
+                   "30a10d28baec3826f5bb80da14e5321022da67db50bc6b1a2020209ac7df42fc",
+                   "f40334e294df046612937ff92aeffcbcaf4bc3da12fb107ca3d161ab5668d0fd");
+}
+
+TEST(MpcNonlinearDigest, OtMaxpool) {
+    expect_digests(run_maxpool(mpc::NonlinearBackend::kOtMillionaire),
+                   "0e46b5881f49967b2dc0c129ced46b5b793f2b9a07340fbf2eff657ebad152ff",
+                   "2873b03a51f11f3943338c5823d7d16557ebdd197d467f28a0a5d3bc667f7103");
+}
+
+TEST(MpcNonlinearDigest, GcRelu) {
+    expect_digests(run_relu(mpc::NonlinearBackend::kGarbledCircuit, 600),
+                   "2fd8cfee82d03e068cb472f0553925645749804e74412e1d31f1b166bddb25a8",
+                   "e73181c6b108d260a092d02e27eea630f4cdc776307824407e75890e92fa5507");
+}
+
+TEST(MpcNonlinearDigest, GcMaxpool) {
+    expect_digests(run_maxpool(mpc::NonlinearBackend::kGarbledCircuit),
+                   "37f792f0f126056a989d6e6363ece753e5eefb0176873088a01f48d5fe3905c5",
+                   "22896fd5f9f5278b7833a395534bd69e5789db93a0d527b1b12a6d0a7b9b6ae2");
 }
 
 // ----------------------------------------------------- session-level parity ---
