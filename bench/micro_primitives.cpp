@@ -412,8 +412,8 @@ void BM_ReluOnlineFss(benchmark::State& state) {
 }
 BENCHMARK(BM_ReluOnlineFss)->Unit(benchmark::kMillisecond);
 
-// n full 128-bit random OTs: outputs are hashed on access, so every
-// output of every OT is read.
+// n full 128-bit random OTs: outputs are hashed when read, so every
+// output of every OT is read, through the batched range accessors.
 void BM_IknpRandomOt(benchmark::State& state) {
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     const auto setup = crypto::dealer_base_ots(crypto::Block128{2, 3});
@@ -426,15 +426,16 @@ void BM_IknpRandomOt(benchmark::State& state) {
             [&](net::Transport& t) {
                 crypto::IknpSender ext(setup.sender);
                 const auto rot = ext.extend(t, n);
-                for (std::size_t j = 0; j < n; ++j) {
-                    benchmark::DoNotOptimize(rot.m0(j));
-                    benchmark::DoNotOptimize(rot.m1(j));
-                }
+                rot.for_each_chunk<crypto::Block128>([](std::size_t, auto m0, auto m1) {
+                    benchmark::DoNotOptimize(m0.data());
+                    benchmark::DoNotOptimize(m1.data());
+                });
             },
             [&](net::Transport& t) {
                 crypto::IknpReceiver ext(setup.receiver);
                 const auto rot = ext.extend(t, choices);
-                for (std::size_t j = 0; j < n; ++j) benchmark::DoNotOptimize(rot.m(j));
+                rot.for_each_chunk<crypto::Block128>(
+                    [](std::size_t, auto m) { benchmark::DoNotOptimize(m.data()); });
             });
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -474,6 +475,24 @@ void BM_CrHash(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CrHash);
+
+// One batched kernel call over n inputs at consecutive tweaks, the shape
+// of a random-OT chunk: time per call, so per hash it is time / n.
+void BM_CrHashBatch(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    crypto::ChaCha20Prg prg(crypto::Block128{7, 8});
+    std::vector<crypto::Block128> x(n), out(n);
+    for (auto& b : x) b = prg.next_block();
+    std::uint64_t tweak = 0;
+    for (auto _ : state) {
+        crypto::cr_hash_batch(x, tweak, 1, crypto::Block128{}, std::span<crypto::Block128>(out));
+        tweak += n;
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_CrHashBatch)->Arg(1024);
 
 // -- streamed-response pipelining benchmark -----------------------------------
 // End-to-end HE conv layer (both parties, real protocol) over a link

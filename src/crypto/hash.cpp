@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "core/error.hpp"
+#include "he/kernels.hpp"
+
 namespace c2pi::crypto {
 
 // ---------------------------------------------------------------- SHA-256 ---
@@ -127,10 +130,10 @@ struct SipState {
     std::uint64_t v0, v1, v2, v3;
 
     explicit SipState(const Block128& key) {
-        v0 = key.lo ^ 0x736f6d6570736575ULL;
-        v1 = key.hi ^ 0x646f72616e646f6dULL;
-        v2 = key.lo ^ 0x6c7967656e657261ULL;
-        v3 = key.hi ^ 0x7465646279746573ULL;
+        v0 = key.lo ^ he::kernels::kSipHashInit[0];
+        v1 = key.hi ^ he::kernels::kSipHashInit[1];
+        v2 = key.lo ^ he::kernels::kSipHashInit[2];
+        v3 = key.hi ^ he::kernels::kSipHashInit[3];
     }
 
     void round() {
@@ -171,9 +174,11 @@ std::uint64_t siphash24(const Block128& key, std::span<const std::uint8_t> data)
 }
 
 namespace {
-// Two independent fixed keys -> 128-bit output from two 64-bit PRFs.
-constexpr Block128 kCrKey1{0x9ae16a3b2f90404fULL, 0xc3a5c85c97cb3127ULL};
-constexpr Block128 kCrKey2{0xb492b66fbe98f273ULL, 0x9ddfea08eb382d69ULL};
+// Two independent fixed keys -> 128-bit output from two 64-bit PRFs. The
+// kernel table's cr_hash_batch computes the same function in batches.
+using he::kernels::kCrHashKeys;
+constexpr Block128 kCrKey1{kCrHashKeys[0][0], kCrHashKeys[0][1]};
+constexpr Block128 kCrKey2{kCrHashKeys[1][0], kCrHashKeys[1][1]};
 }  // namespace
 
 Block128 cr_hash(std::uint64_t tweak, const Block128& x) {
@@ -188,6 +193,24 @@ std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x) {
     std::memcpy(buf, &tweak, 8);
     x.to_bytes(buf + 8);
     return siphash24(kCrKey1, buf);
+}
+
+// Block128 is two words, lo then hi: exactly the kernel's (lo, hi) pairs.
+void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
+                   const Block128& offset, std::span<Block128> out) {
+    require(out.size() == x.size(), "cr_hash_batch output size mismatch");
+    const std::uint64_t off[2] = {offset.lo, offset.hi};
+    he::kernels::active().cr_hash_batch(reinterpret_cast<const std::uint64_t*>(x.data()),
+                                        x.size(), tweak, step, off, /*wide=*/true,
+                                        reinterpret_cast<std::uint64_t*>(out.data()));
+}
+
+void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
+                   const Block128& offset, std::span<std::uint64_t> out) {
+    require(out.size() == x.size(), "cr_hash_batch output size mismatch");
+    const std::uint64_t off[2] = {offset.lo, offset.hi};
+    he::kernels::active().cr_hash_batch(reinterpret_cast<const std::uint64_t*>(x.data()),
+                                        x.size(), tweak, step, off, /*wide=*/false, out.data());
 }
 
 }  // namespace c2pi::crypto

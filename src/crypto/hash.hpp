@@ -8,7 +8,10 @@
 ///    used on the hot paths of garbling and OT extension. Production
 ///    implementations use fixed-key AES; here it is built from two
 ///    independently keyed SipHash instances (no AES library), which
-///    leaves the protocol structure unchanged.
+///    leaves the protocol structure unchanged. The hot paths hash in
+///    batches (cr_hash_batch): one SIMD kernel call runs the same
+///    function over many inputs, one SipHash state per vector lane, so
+///    batching changes the speed and not a single output bit.
 
 #include <array>
 #include <cstdint>
@@ -48,5 +51,17 @@ private:
 /// cr_hash(t, x).lo. Used where a caller keeps only 64 bits or fewer of
 /// an OT output (ring-element masks, bit triples).
 [[nodiscard]] std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x);
+
+/// out[i] = cr_hash(tweak + i * step, x[i] ^ offset) for every i < x.size()
+/// (out.size() == x.size()), in one call of the active kernel tier's
+/// cr_hash_batch. step 1 hashes consecutive random OTs; step 0 hashes many
+/// labels under one gate's tweak.
+void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
+                   const Block128& offset, std::span<Block128> out);
+
+/// The low words alone, at half the cost: out[i] = cr_hash_u64(tweak + i *
+/// step, x[i] ^ offset).
+void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
+                   const Block128& offset, std::span<std::uint64_t> out);
 
 }  // namespace c2pi::crypto

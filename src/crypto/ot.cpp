@@ -138,10 +138,13 @@ void ot_send_blocks(net::Transport& t, IknpSender& ext, std::span<const Block128
     const std::size_t n = messages0.size();
     const auto rot = ext.extend(t, n);
     std::vector<std::uint8_t> payload(n * 32);
-    for (std::size_t j = 0; j < n; ++j) {
-        (messages0[j] ^ rot.m0(j)).to_bytes(payload.data() + 32 * j);
-        (messages1[j] ^ rot.m1(j)).to_bytes(payload.data() + 32 * j + 16);
-    }
+    rot.for_each_chunk<Block128>([&](std::size_t begin, auto m0, auto m1) {
+        for (std::size_t k = 0; k < m0.size(); ++k) {
+            const std::size_t j = begin + k;
+            (messages0[j] ^ m0[k]).to_bytes(payload.data() + 32 * j);
+            (messages1[j] ^ m1[k]).to_bytes(payload.data() + 32 * j + 16);
+        }
+    });
     t.send_bytes(payload);
 }
 
@@ -152,11 +155,12 @@ std::vector<Block128> ot_recv_blocks(net::Transport& t, IknpReceiver& ext,
     const auto payload = t.recv_bytes();
     require(payload.size() == n * 32, "OT payload size mismatch");
     std::vector<Block128> out(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const Block128 masked =
-            Block128::from_bytes(payload.data() + 32 * j + (choices[j] ? 16 : 0));
-        out[j] = masked ^ rot.m(j);
-    }
+    rot.for_each_chunk<Block128>([&](std::size_t begin, auto m) {
+        for (std::size_t k = 0; k < m.size(); ++k) {
+            const std::size_t j = begin + k;
+            out[j] = Block128::from_bytes(payload.data() + 32 * j + (choices[j] ? 16 : 0)) ^ m[k];
+        }
+    });
     return out;
 }
 
@@ -166,10 +170,13 @@ void ot_send_u64_pairs(net::Transport& t, IknpSender& ext, std::span<const Ring>
     const std::size_t n = messages0.size();
     const auto rot = ext.extend(t, n);
     std::vector<Ring> payload(2 * n);
-    for (std::size_t j = 0; j < n; ++j) {
-        payload[2 * j] = messages0[j] ^ rot.m0_u64(j);
-        payload[2 * j + 1] = messages1[j] ^ rot.m1_u64(j);
-    }
+    rot.for_each_chunk<std::uint64_t>([&](std::size_t begin, auto m0, auto m1) {
+        for (std::size_t k = 0; k < m0.size(); ++k) {
+            const std::size_t j = begin + k;
+            payload[2 * j] = messages0[j] ^ m0[k];
+            payload[2 * j + 1] = messages1[j] ^ m1[k];
+        }
+    });
     t.send_u64s(payload);
 }
 
@@ -180,7 +187,12 @@ std::vector<Ring> ot_recv_u64s(net::Transport& t, IknpReceiver& ext,
     const auto payload = t.recv_u64s();
     require(payload.size() == 2 * n, "OT payload size mismatch");
     std::vector<Ring> out(n);
-    for (std::size_t j = 0; j < n; ++j) out[j] = payload[2 * j + (choices[j] ? 1 : 0)] ^ rot.m_u64(j);
+    rot.for_each_chunk<std::uint64_t>([&](std::size_t begin, auto m) {
+        for (std::size_t k = 0; k < m.size(); ++k) {
+            const std::size_t j = begin + k;
+            out[j] = payload[2 * j + (choices[j] ? 1 : 0)] ^ m[k];
+        }
+    });
     return out;
 }
 
@@ -219,17 +231,22 @@ void ot_1_of_n_send(net::Transport& t, IknpSender& ext, std::span<const std::uin
     const auto rot = ext.extend(t, n_groups * log_n);
 
     // All N pads of a group at once: byte j of `pads` is pad_j (see ot.hpp).
+    // Group g is random OTs g * log_n + i, i < log_n, which may straddle
+    // two hash chunks, so the group's pads carry over.
     std::vector<std::uint8_t> payload(n_groups * n_options);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-        Block128 pads{};
-        for (std::size_t i = 0; i < log_n; ++i) {
-            const Block128 k0 = rot.m0(g * log_n + i);
-            const Block128 k1 = rot.m1(g * log_n + i);
-            pads ^= k0 ^ ((k0 ^ k1) & kOptionMask[i]);
+    Block128 pads{};
+    std::size_t g = 0, i = 0;
+    rot.for_each_chunk<Block128>([&](std::size_t, auto k0s, auto k1s) {
+        for (std::size_t k = 0; k < k0s.size(); ++k) {
+            pads ^= k0s[k] ^ ((k0s[k] ^ k1s[k]) & kOptionMask[i]);
+            if (++i < log_n) continue;
+            for (std::size_t j = 0; j < n_options; ++j)
+                payload[g * n_options + j] = messages[g * n_options + j] ^ block_byte(pads, j);
+            pads = {};
+            i = 0;
+            ++g;
         }
-        for (std::size_t j = 0; j < n_options; ++j)
-            payload[g * n_options + j] = messages[g * n_options + j] ^ block_byte(pads, j);
-    }
+    });
     t.send_bytes(payload);
 }
 
@@ -249,12 +266,18 @@ std::vector<std::uint8_t> ot_1_of_n_recv(net::Transport& t, IknpReceiver& ext,
     require(payload.size() == n_groups * n_options, "1-of-N payload size mismatch");
 
     std::vector<std::uint8_t> out(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-        const std::size_t j = indices[g];
-        std::uint8_t pad = 0;
-        for (std::size_t i = 0; i < log_n; ++i) pad ^= block_byte(rot.m(g * log_n + i), j);
-        out[g] = payload[g * n_options + j] ^ pad;
-    }
+    std::uint8_t pad = 0;
+    std::size_t g = 0, i = 0;
+    rot.for_each_chunk<Block128>([&](std::size_t, auto m) {
+        for (const Block128& h : m) {
+            pad ^= block_byte(h, indices[g]);
+            if (++i < log_n) continue;
+            out[g] = payload[g * n_options + indices[g]] ^ pad;
+            pad = 0;
+            i = 0;
+            ++g;
+        }
+    });
     return out;
 }
 
@@ -269,13 +292,16 @@ std::vector<std::uint8_t> cross_term_send(net::Transport& t, IknpSender& ext,
     const std::size_t n = a.size();
     const auto rot = ext.extend(t, n);
     std::vector<std::uint8_t> shares(n), corrections((n + 7) / 8, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::uint8_t t0 = rot.m0_u64(j) & 1U;
-        const std::uint8_t t1 = rot.m1_u64(j) & 1U;
-        shares[j] = t0;
-        const std::uint8_t c = static_cast<std::uint8_t>(t0 ^ t1 ^ a[j]);
-        corrections[j / 8] |= static_cast<std::uint8_t>(c << (j % 8));
-    }
+    rot.for_each_chunk<std::uint64_t>([&](std::size_t begin, auto m0, auto m1) {
+        for (std::size_t k = 0; k < m0.size(); ++k) {
+            const std::size_t j = begin + k;
+            const std::uint8_t t0 = m0[k] & 1U;
+            const std::uint8_t t1 = m1[k] & 1U;
+            shares[j] = t0;
+            const std::uint8_t c = static_cast<std::uint8_t>(t0 ^ t1 ^ a[j]);
+            corrections[j / 8] |= static_cast<std::uint8_t>(c << (j % 8));
+        }
+    });
     t.send_bytes(corrections);
     return shares;
 }
@@ -287,11 +313,14 @@ std::vector<std::uint8_t> cross_term_recv(net::Transport& t, IknpReceiver& ext,
     const auto corrections = t.recv_bytes();
     require(corrections.size() == (n + 7) / 8, "cross-term correction size mismatch");
     std::vector<std::uint8_t> shares(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::uint8_t tb = rot.m_u64(j) & 1U;
-        const std::uint8_t c = (corrections[j / 8] >> (j % 8)) & 1U;
-        shares[j] = b[j] ? static_cast<std::uint8_t>(tb ^ c) : tb;
-    }
+    rot.for_each_chunk<std::uint64_t>([&](std::size_t begin, auto m) {
+        for (std::size_t k = 0; k < m.size(); ++k) {
+            const std::size_t j = begin + k;
+            const std::uint8_t tb = m[k] & 1U;
+            const std::uint8_t c = (corrections[j / 8] >> (j % 8)) & 1U;
+            shares[j] = b[j] ? static_cast<std::uint8_t>(tb ^ c) : tb;
+        }
+    });
     return shares;
 }
 

@@ -10,7 +10,8 @@
 ///  * IKNP OT extension (Ishai-Kilian-Nissim-Petrank 2003) is implemented
 ///    faithfully: PRG row expansion, u-matrix transmission, bit-matrix
 ///    transpose (64x64 word-wise), correlation-robust hashing of columns
-///    (on access, at the width the caller reads).
+///    (when read, at the width the caller keeps, in SIMD batches of up to
+///    kRotChunk consecutive OTs).
 ///  * Derived functionalities: chosen-message 1-of-2 OT (blocks / u64 /
 ///    bytes), 1-of-N OT (the millionaire protocol's leaves), and GF(2)
 ///    Beaver "AND" triples.
@@ -19,6 +20,7 @@
 /// for its choice bits b. In IKNP the extension sender plays base-OT
 /// receiver and vice versa, which the setup factory takes care of.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -61,32 +63,51 @@ struct OtSetupPair {
 /// shared session seed.
 [[nodiscard]] OtSetupPair dealer_base_ots(const Block128& session_seed);
 
+/// Random-OT outputs are hashed this many OTs at a time, into stack
+/// buffers, one batched cr_hash kernel call per chunk and output.
+inline constexpr std::size_t kRotChunk = 256;
+
 /// Random OTs produced by one IKNP extension, held as the transposed
-/// IKNP columns. Outputs are hashed on access, so a caller pays only for
-/// the outputs it reads and at the width it reads them: m0(j) is
-/// cr_hash(tweak + j, q[j]), and m0_u64(j) == m0(j).lo at half the cost.
+/// IKNP columns. Outputs are hashed when read, so a caller pays only for
+/// the width it keeps: OT j's outputs are m0(j) = cr_hash(tweak + j, q[j])
+/// and m1(j) = cr_hash(tweak + j, q[j] ^ s), or their low words
+/// (cr_hash_u64) at half the cost.
 struct RotSenderOutput {
     std::vector<Block128> q;  ///< column j of the sender's matrix Q
     Block128 s;               ///< base-OT choice bits: q[j] = t[j] ^ (b_j ? s : 0)
     std::uint64_t tweak = 0;  ///< hash tweak of OT 0
 
-    [[nodiscard]] Block128 m0(std::size_t j) const { return cr_hash(tweak + j, q[j]); }
-    [[nodiscard]] Block128 m1(std::size_t j) const { return cr_hash(tweak + j, q[j] ^ s); }
-    [[nodiscard]] std::uint64_t m0_u64(std::size_t j) const {
-        return cr_hash_u64(tweak + j, q[j]);
-    }
-    [[nodiscard]] std::uint64_t m1_u64(std::size_t j) const {
-        return cr_hash_u64(tweak + j, q[j] ^ s);
+    /// Calls fn(begin, m0, m1) for consecutive chunks of at most kRotChunk
+    /// OTs, in order, where m0[k], m1[k] are m0(begin + k), m1(begin + k):
+    /// 128-bit blocks for W = Block128, low words for W = std::uint64_t.
+    template <typename W, typename Fn>
+    void for_each_chunk(Fn&& fn) const {
+        W m0[kRotChunk], m1[kRotChunk];
+        for (std::size_t begin = 0; begin < q.size(); begin += kRotChunk) {
+            const std::size_t n = std::min(kRotChunk, q.size() - begin);
+            const std::span<const Block128> cols(q.data() + begin, n);
+            cr_hash_batch(cols, tweak + begin, 1, Block128{}, std::span<W>(m0, n));
+            cr_hash_batch(cols, tweak + begin, 1, s, std::span<W>(m1, n));
+            fn(begin, std::span<const W>(m0, n), std::span<const W>(m1, n));
+        }
     }
 };
 struct RotReceiverOutput {
     std::vector<Block128> t;  ///< column j of the receiver's matrix T
     std::uint64_t tweak = 0;  ///< hash tweak of OT 0
 
-    /// m(j) = (b_j ? m1(j) : m0(j)) of the sender's output.
-    [[nodiscard]] Block128 m(std::size_t j) const { return cr_hash(tweak + j, t[j]); }
-    [[nodiscard]] std::uint64_t m_u64(std::size_t j) const {
-        return cr_hash_u64(tweak + j, t[j]);
+    /// Calls fn(begin, m) for consecutive chunks of at most kRotChunk OTs,
+    /// in order, where m[k] = cr_hash(tweak + begin + k, t[begin + k]) =
+    /// (b ? m1 : m0)(begin + k) of the sender's output, at W's width.
+    template <typename W, typename Fn>
+    void for_each_chunk(Fn&& fn) const {
+        W m[kRotChunk];
+        for (std::size_t begin = 0; begin < t.size(); begin += kRotChunk) {
+            const std::size_t n = std::min(kRotChunk, t.size() - begin);
+            cr_hash_batch(std::span<const Block128>(t.data() + begin, n), tweak + begin, 1,
+                          Block128{}, std::span<W>(m, n));
+            fn(begin, std::span<const W>(m, n));
+        }
     }
 };
 

@@ -1,12 +1,15 @@
 #pragma once
 
 /// \file kernels.hpp
-/// Runtime-dispatched SIMD kernels for the ring-arithmetic and PRG hot
-/// loops: the NTT butterfly passes, the Shoup modular-multiply limb
+/// Runtime-dispatched SIMD kernels for the ring-arithmetic, PRG and hash
+/// hot loops: the NTT butterfly passes, the Shoup modular-multiply limb
 /// loops behind multiply_plain(_accumulate), the 4->2 mod-switch
-/// compose, and two ChaCha20 block batchers — one stream's consecutive
+/// compose, two ChaCha20 block batchers — one stream's consecutive
 /// blocks (ChaCha20Prg refills) and one block for each of many seeds
-/// (the DCF's GGM node expansions, fss/dcf.cpp).
+/// (the DCF's GGM node expansions, fss/dcf.cpp) — and the batched
+/// correlation-robust hash behind random-OT outputs and garbled AND
+/// gates (crypto::cr_hash over many inputs, crypto/ot.cpp and
+/// crypto/garbling.cpp).
 ///
 /// Three variants exist — scalar, AVX2 and AVX-512 — compiled into
 /// separate translation units (only the kernel TUs carry -m arch flags,
@@ -79,11 +82,32 @@ struct Kernels {
     /// one seed per lane; the n mod width tail goes to scalar.
     void (*chacha20_seeded_blocks)(const std::uint64_t* seeds, std::uint64_t nonce,
                                    std::uint8_t* out, std::size_t n) = nullptr;
+    /// n correlation-robust hashes: out[i] = crypto::cr_hash(tweak + i * step,
+    /// x[i] ^ offset), the tweak wrapping mod 2^64 (step 0: one tweak for
+    /// every input, as a garbled gate; step 1: consecutive tweaks, as
+    /// random OTs). Blocks are (lo, hi) word pairs: x[i] is x[2i], x[2i + 1]
+    /// and offset is offset[0], offset[1]. With `wide` out[2i], out[2i + 1]
+    /// get the 128-bit hash; otherwise out[i] gets its low word alone
+    /// (crypto::cr_hash_u64) at half the cost. SIMD tiers run 4 (AVX2) or
+    /// 8 (AVX-512) inputs per pass, one SipHash state per lane; the n mod
+    /// width tail goes to scalar.
+    void (*cr_hash_batch)(const u64* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, u64* out) = nullptr;
 };
 
 /// ChaCha20's "expand 32-byte k" constants, state words 0-3.
 inline constexpr std::uint32_t kChaChaSigma[4] = {0x61707865, 0x3320646E, 0x79622D32,
                                                   0x6B206574};
+
+/// SipHash's initial state words v0..v3 before the key is mixed in
+/// (v0 ^= k.lo, v1 ^= k.hi, v2 ^= k.lo, v3 ^= k.hi).
+inline constexpr std::uint64_t kSipHashInit[4] = {0x736f6d6570736575ULL, 0x646f72616e646f6dULL,
+                                                  0x6c7967656e657261ULL, 0x7465646279746573ULL};
+
+/// crypto::cr_hash's two fixed SipHash-2-4 keys as (lo, hi): the first
+/// gives the hash's low word, the second its high word.
+inline constexpr u64 kCrHashKeys[2][2] = {{0x9ae16a3b2f90404fULL, 0xc3a5c85c97cb3127ULL},
+                                          {0xb492b66fbe98f273ULL, 0x9ddfea08eb382d69ULL}};
 
 /// The variant every hot loop uses: the best tier the CPU supports,
 /// unless C2PI_KERNELS overrides. Resolved once on first call; an

@@ -6,7 +6,8 @@
 // operand's low multiply vectorize alongside. The NTT's final stages
 // (t = 2, t = 1), where lanes need distinct twiddles, are handled with
 // unpack/permute deinterleaves over contiguous twiddle loads instead of
-// falling back to scalar.
+// falling back to scalar. The batched cr_hash runs 4 SipHash states per
+// register, with byte shuffles for the 16- and 32-bit rotates.
 //
 // This TU (alone) is compiled with -mavx2; dispatch guarantees the
 // entry points only run after a cpuid check.
@@ -450,6 +451,95 @@ void chacha20_seeded_blocks_avx2(const std::uint64_t* seeds, std::uint64_t nonce
     if (i < n) scalar_kernels()->chacha20_seeded_blocks(seeds + 2 * i, nonce, out + 64 * i, n - i);
 }
 
+// ------------------------------------------------------------- cr_hash ---
+
+/// 64-bit left rotate per lane: byte shuffles for 16 and 32, shifts else.
+template <int R>
+inline V rotl64_v(V x) {
+    if constexpr (R == 32) {
+        return _mm256_shuffle_epi32(x, 0xB1);
+    } else if constexpr (R == 16) {
+        const V rot16 = _mm256_setr_epi8(6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10, 11, 12, 13,
+                                         6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10, 11, 12, 13);
+        return _mm256_shuffle_epi8(x, rot16);
+    } else {
+        return _mm256_or_si256(_mm256_slli_epi64(x, R), _mm256_srli_epi64(x, 64 - R));
+    }
+}
+
+inline void sip_round_v(V& v0, V& v1, V& v2, V& v3) {
+    v0 = _mm256_add_epi64(v0, v1);
+    v1 = _mm256_xor_si256(rotl64_v<13>(v1), v0);
+    v0 = rotl64_v<32>(v0);
+    v2 = _mm256_add_epi64(v2, v3);
+    v3 = _mm256_xor_si256(rotl64_v<16>(v3), v2);
+    v0 = _mm256_add_epi64(v0, v3);
+    v3 = _mm256_xor_si256(rotl64_v<21>(v3), v0);
+    v2 = _mm256_add_epi64(v2, v1);
+    v1 = _mm256_xor_si256(rotl64_v<17>(v1), v2);
+    v2 = rotl64_v<32>(v2);
+}
+
+inline V bcast64(u64 x) { return _mm256_set1_epi64x(static_cast<long long>(x)); }
+
+/// SipHash-2-4 of the message (m[0], m[1], m[2]) in every lane under the
+/// first K cr_hash keys; the K states run interleaved.
+template <int K>
+inline void siphash24_v(const V m[3], V out[K]) {
+    V v[K][4];
+    for (int k = 0; k < K; ++k)
+        for (int w = 0; w < 4; ++w)
+            v[k][w] = bcast64(kCrHashKeys[k][w & 1] ^ kSipHashInit[w]);
+    const V words[4] = {m[0], m[1], m[2], bcast64(u64{24} << 56)};
+    for (const V& word : words) {
+        for (int k = 0; k < K; ++k) {
+            v[k][3] = _mm256_xor_si256(v[k][3], word);
+            sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+            sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+            v[k][0] = _mm256_xor_si256(v[k][0], word);
+        }
+    }
+    for (int k = 0; k < K; ++k) {
+        v[k][2] = _mm256_xor_si256(v[k][2], bcast64(0xFF));
+        for (int r = 0; r < 4; ++r) sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+        out[k] = _mm256_xor_si256(_mm256_xor_si256(v[k][0], v[k][1]),
+                                  _mm256_xor_si256(v[k][2], v[k][3]));
+    }
+}
+
+void cr_hash_batch_avx2(const u64* x, std::size_t n, u64 tweak, u64 step,
+                        const u64 offset[2], bool wide, u64* out) {
+    // Unpacking two loads of two blocks each puts the pass's 4 inputs in
+    // lane order (0, 2, 1, 3): the tweaks follow that order, the wide
+    // stores' unpacks undo it and the narrow store permutes it back.
+    const V lane_tweak = _mm256_set_epi64x(static_cast<long long>(3 * step),
+                                           static_cast<long long>(1 * step),
+                                           static_cast<long long>(2 * step), 0);
+    const V off_lo = bcast64(offset[0]);
+    const V off_hi = bcast64(offset[1]);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4, tweak += 4 * step) {
+        const V a = load(x + 2 * i);
+        const V b = load(x + 2 * i + 4);
+        const V m[3] = {_mm256_add_epi64(bcast64(tweak), lane_tweak),
+                        _mm256_xor_si256(_mm256_unpacklo_epi64(a, b), off_lo),
+                        _mm256_xor_si256(_mm256_unpackhi_epi64(a, b), off_hi)};
+        if (wide) {
+            V h[2];
+            siphash24_v<2>(m, h);
+            store(out + 2 * i, _mm256_unpacklo_epi64(h[0], h[1]));
+            store(out + 2 * i + 4, _mm256_unpackhi_epi64(h[0], h[1]));
+        } else {
+            V h[1];
+            siphash24_v<1>(m, h);
+            store(out + i, _mm256_permute4x64_epi64(h[0], 0xD8));  // lanes 0, 2, 1, 3
+        }
+    }
+    if (i < n)
+        scalar_kernels()->cr_hash_batch(x + 2 * i, n - i, tweak, step, offset, wide,
+                                        out + (wide ? 2 * i : i));
+}
+
 }  // namespace
 
 namespace detail {
@@ -472,6 +562,7 @@ const Kernels* avx2_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_avx2,
         .chacha20_blocks = &chacha20_blocks_avx2_impl,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_avx2,
+        .cr_hash_batch = &cr_hash_batch_avx2,
     };
     return &k;
 }

@@ -10,7 +10,8 @@
 // is 8 blocks either way and the function is memory-bound at that width.
 // The seeded batcher (one block per seed, the DCF's node expansions) has
 // its own 16-lane code: native 32-bit rotates and a 16x16 in-register
-// transpose.
+// transpose. The batched cr_hash runs 8 SipHash states per register with
+// native 64-bit rotates (vprolq).
 //
 // This TU (alone) is compiled with -mavx512{f,dq,bw,vl}; dispatch
 // guarantees the entry points only run after a cpuid check.
@@ -434,6 +435,93 @@ void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t non
     if (i < n) scalar_kernels()->chacha20_seeded_blocks(seeds + 2 * i, nonce, out + 64 * i, n - i);
 }
 
+// ------------------------------------------------------------- cr_hash ---
+
+// The cr_hash code below avoids the intrinsics that GCC 12 builds with an
+// undefined pass-through register (unmasked vprolq, the unpacks), which
+// warn under -Wall: vprolq goes through the full-mask maskz form, the
+// same instruction, and blocks are split and merged by vpermt2q.
+template <int R>
+inline V rotl64_v(V x) {
+    return _mm512_maskz_rol_epi64(0xFF, x, R);
+}
+
+inline void sip_round_v(V& v0, V& v1, V& v2, V& v3) {
+    v0 = _mm512_add_epi64(v0, v1);
+    v1 = _mm512_xor_si512(rotl64_v<13>(v1), v0);
+    v0 = rotl64_v<32>(v0);
+    v2 = _mm512_add_epi64(v2, v3);
+    v3 = _mm512_xor_si512(rotl64_v<16>(v3), v2);
+    v0 = _mm512_add_epi64(v0, v3);
+    v3 = _mm512_xor_si512(rotl64_v<21>(v3), v0);
+    v2 = _mm512_add_epi64(v2, v1);
+    v1 = _mm512_xor_si512(rotl64_v<17>(v1), v2);
+    v2 = rotl64_v<32>(v2);
+}
+
+/// SipHash-2-4 of the message (m[0], m[1], m[2]) in every lane under the
+/// first K cr_hash keys; the K states run interleaved.
+template <int K>
+inline void siphash24_v(const V m[3], V out[K]) {
+    V v[K][4];
+    for (int k = 0; k < K; ++k)
+        for (int w = 0; w < 4; ++w)
+            v[k][w] = bcast(kCrHashKeys[k][w & 1] ^ kSipHashInit[w]);
+    const V words[4] = {m[0], m[1], m[2], bcast(u64{24} << 56)};
+    for (const V& word : words) {
+        for (int k = 0; k < K; ++k) {
+            v[k][3] = _mm512_xor_si512(v[k][3], word);
+            sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+            sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+            v[k][0] = _mm512_xor_si512(v[k][0], word);
+        }
+    }
+    for (int k = 0; k < K; ++k) {
+        v[k][2] = _mm512_xor_si512(v[k][2], bcast(0xFF));
+        for (int r = 0; r < 4; ++r) sip_round_v(v[k][0], v[k][1], v[k][2], v[k][3]);
+        out[k] = _mm512_xor_si512(_mm512_xor_si512(v[k][0], v[k][1]),
+                                  _mm512_xor_si512(v[k][2], v[k][3]));
+    }
+}
+
+void cr_hash_batch_avx512(const u64* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, u64* out) {
+    // Two-source permutes split 8 (lo, hi) blocks into a lo and a hi
+    // register and merge the two hash words back into blocks.
+    const V even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const V odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+    const V merge_lo = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    const V merge_hi = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    const V lane_tweak = _mm512_set_epi64(
+        static_cast<long long>(7 * step), static_cast<long long>(6 * step),
+        static_cast<long long>(5 * step), static_cast<long long>(4 * step),
+        static_cast<long long>(3 * step), static_cast<long long>(2 * step),
+        static_cast<long long>(step), 0);
+    const V off_lo = bcast(offset[0]);
+    const V off_hi = bcast(offset[1]);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8, tweak += 8 * step) {
+        const V a = load(x + 2 * i);
+        const V b = load(x + 2 * i + 8);
+        const V m[3] = {_mm512_add_epi64(bcast(tweak), lane_tweak),
+                        _mm512_xor_si512(_mm512_permutex2var_epi64(a, even, b), off_lo),
+                        _mm512_xor_si512(_mm512_permutex2var_epi64(a, odd, b), off_hi)};
+        if (wide) {
+            V h[2];
+            siphash24_v<2>(m, h);
+            store(out + 2 * i, _mm512_permutex2var_epi64(h[0], merge_lo, h[1]));
+            store(out + 2 * i + 8, _mm512_permutex2var_epi64(h[0], merge_hi, h[1]));
+        } else {
+            V h[1];
+            siphash24_v<1>(m, h);
+            store(out + i, h[0]);
+        }
+    }
+    if (i < n)
+        scalar_kernels()->cr_hash_batch(x + 2 * i, n - i, tweak, step, offset, wide,
+                                        out + (wide ? 2 * i : i));
+}
+
 }  // namespace
 
 const Kernels* avx512_kernels() {
@@ -447,6 +535,7 @@ const Kernels* avx512_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_avx512,
         .chacha20_blocks = &chacha20_blocks_avx512,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_avx512,
+        .cr_hash_batch = &cr_hash_batch_avx512,
     };
     return &k;
 }

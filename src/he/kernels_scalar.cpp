@@ -1,7 +1,9 @@
 // Scalar kernel variant — the reference semantics every SIMD tier must
 // reproduce bit-for-bit. The NTT bodies are the Harvey lazy-reduction
 // passes that lived in he/ntt.cpp before the kernel split; the ChaCha20
-// block is the RFC 8439 function that lived in crypto/chacha20.cpp.
+// block is the RFC 8439 function that lived in crypto/chacha20.cpp; the
+// batched cr_hash is crypto::cr_hash's SipHash-2-4 specialised to its
+// three-word message.
 
 #include <cstring>
 
@@ -169,6 +171,49 @@ void chacha20_seeded_blocks_scalar(const std::uint64_t* seeds, std::uint64_t non
     }
 }
 
+// ------------------------------------------------------------- cr_hash ---
+
+inline u64 rotl64(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
+
+inline void sip_round(u64& v0, u64& v1, u64& v2, u64& v3) {
+    v0 += v1; v1 = rotl64(v1, 13); v1 ^= v0; v0 = rotl64(v0, 32);
+    v2 += v3; v3 = rotl64(v3, 16); v3 ^= v2;
+    v0 += v3; v3 = rotl64(v3, 21); v3 ^= v0;
+    v2 += v1; v1 = rotl64(v1, 17); v1 ^= v2; v2 = rotl64(v2, 32);
+}
+
+/// SipHash-2-4 of the 24-byte message (m0, m1, m2), little-endian words:
+/// crypto::siphash24 on cr_hash's (tweak, x.lo, x.hi) buffer.
+u64 siphash24_words(const u64 key[2], u64 m0, u64 m1, u64 m2) {
+    u64 v0 = key[0] ^ kSipHashInit[0];
+    u64 v1 = key[1] ^ kSipHashInit[1];
+    u64 v2 = key[0] ^ kSipHashInit[2];
+    u64 v3 = key[1] ^ kSipHashInit[3];
+    for (const u64 m : {m0, m1, m2, u64{24} << 56}) {
+        v3 ^= m;
+        sip_round(v0, v1, v2, v3);
+        sip_round(v0, v1, v2, v3);
+        v0 ^= m;
+    }
+    v2 ^= 0xFF;
+    for (int r = 0; r < 4; ++r) sip_round(v0, v1, v2, v3);
+    return v0 ^ v1 ^ v2 ^ v3;
+}
+
+void cr_hash_batch_scalar(const u64* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, u64* out) {
+    for (std::size_t i = 0; i < n; ++i, tweak += step) {
+        const u64 lo = x[2 * i] ^ offset[0];
+        const u64 hi = x[2 * i + 1] ^ offset[1];
+        if (wide) {
+            out[2 * i] = siphash24_words(kCrHashKeys[0], tweak, lo, hi);
+            out[2 * i + 1] = siphash24_words(kCrHashKeys[1], tweak, lo, hi);
+        } else {
+            out[i] = siphash24_words(kCrHashKeys[0], tweak, lo, hi);
+        }
+    }
+}
+
 }  // namespace
 
 const Kernels* scalar_kernels() {
@@ -182,6 +227,7 @@ const Kernels* scalar_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_scalar,
         .chacha20_blocks = &chacha20_blocks_scalar,
         .chacha20_seeded_blocks = &chacha20_seeded_blocks_scalar,
+        .cr_hash_batch = &cr_hash_batch_scalar,
     };
     return &k;
 }

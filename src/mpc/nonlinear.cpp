@@ -21,29 +21,23 @@ void gc_batch_garbler(PartyContext& ctx, const crypto::Circuit& circuit,
     const std::size_t g_words = garbler_values.size() + 1;
     require(static_cast<std::size_t>(circuit.num_garbler_inputs) == 64 * g_words,
             "garbler word count mismatch");
+    const std::size_t g_bits = 64 * g_words;
     const std::size_t eval_bits = static_cast<std::size_t>(circuit.num_evaluator_inputs);
+    const std::size_t n_inputs = g_bits + eval_bits;
 
+    std::vector<crypto::Block128> deltas(kGcChunk), zero_labels(kGcChunk * n_inputs);
     for (std::size_t chunk_begin = 0; chunk_begin < n; chunk_begin += kGcChunk) {
         const std::size_t count = std::min(kGcChunk, n - chunk_begin);
+        const std::span<const crypto::Block128> delta(deltas.data(), count);
+        const std::span<const crypto::Block128> zero(zero_labels.data(), count * n_inputs);
 
         // ---- offline: garble + ship tables and output-decode bits ----
         const auto saved_phase = ctx.transport().phase();
         ctx.transport().set_phase(net::Phase::kOffline);
-        std::vector<crypto::Garbling> garblings;
-        garblings.reserve(count);
-        std::vector<std::uint8_t> tables_payload;
-        tables_payload.reserve(count * circuit.and_count() * 32 + count * 8);
-        for (std::size_t i = 0; i < count; ++i) {
-            garblings.push_back(crypto::garble(circuit, ctx.prg()));
-            const auto& g = garblings.back();
-            const std::size_t off = tables_payload.size();
-            tables_payload.resize(off + g.tables.size() * 16 + (g.output_decode.size() + 7) / 8);
-            for (std::size_t k = 0; k < g.tables.size(); ++k)
-                g.tables[k].to_bytes(tables_payload.data() + off + 16 * k);
-            std::uint8_t* decode = tables_payload.data() + off + g.tables.size() * 16;
-            for (std::size_t k = 0; k < g.output_decode.size(); ++k)
-                decode[k / 8] |= static_cast<std::uint8_t>((g.output_decode[k] & 1U) << (k % 8));
-        }
+        std::vector<std::uint8_t> tables_payload(count * crypto::garbled_bytes(circuit));
+        crypto::garble_batch(circuit, ctx.prg(), count, tables_payload,
+                             std::span(deltas).first(count),
+                             std::span(zero_labels).first(count * n_inputs));
         ctx.transport().send_bytes(tables_payload);
         ctx.transport().set_phase(saved_phase);
 
@@ -51,22 +45,22 @@ void gc_batch_garbler(PartyContext& ctx, const crypto::Circuit& circuit,
         std::vector<crypto::Block128> label0(count * eval_bits), label1(count * eval_bits);
         for (std::size_t i = 0; i < count; ++i)
             for (std::size_t b = 0; b < eval_bits; ++b) {
-                label0[i * eval_bits + b] = garblings[i].evaluator_label(b, false);
-                label1[i * eval_bits + b] = garblings[i].evaluator_label(b, true);
+                label0[i * eval_bits + b] = zero[i * n_inputs + g_bits + b];
+                label1[i * eval_bits + b] = zero[i * n_inputs + g_bits + b] ^ delta[i];
             }
         crypto::ot_send_blocks(ctx.transport(), ctx.ot_sender(), label0, label1);
 
         // ---- online: active garbler-input labels ----
-        std::vector<std::uint8_t> label_payload(count * 64 * g_words * 16);
+        std::vector<std::uint8_t> label_payload(count * g_bits * 16);
         for (std::size_t i = 0; i < count; ++i) {
             const std::size_t e = chunk_begin + i;
             std::size_t wire = 0;
             for (std::size_t w = 0; w < g_words; ++w) {
                 const Ring value = w + 1 < g_words ? garbler_values[w][e] : neg_r[e];
                 for (int b = 0; b < 64; ++b, ++wire) {
-                    garblings[i]
-                        .garbler_label(wire, ((value >> b) & 1U) != 0)
-                        .to_bytes(label_payload.data() + (i * 64 * g_words + wire) * 16);
+                    crypto::Block128 label = zero[i * n_inputs + wire];
+                    if (((value >> b) & 1U) != 0) label ^= delta[i];
+                    label.to_bytes(label_payload.data() + (i * g_bits + wire) * 16);
                 }
             }
         }
@@ -82,10 +76,10 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
     require(static_cast<std::size_t>(circuit.num_evaluator_inputs) == 64 * e_words,
             "evaluator word count mismatch");
     const std::size_t g_bits = static_cast<std::size_t>(circuit.num_garbler_inputs);
-    const std::size_t table_blocks = circuit.and_count() * 2;
-    const std::size_t decode_bytes = (circuit.outputs.size() + 7) / 8;
+    const std::size_t n_outputs = circuit.outputs.size();
 
     std::vector<Ring> out(n);
+    std::vector<std::uint8_t> bits(kGcChunk * n_outputs);
     for (std::size_t chunk_begin = 0; chunk_begin < n; chunk_begin += kGcChunk) {
         const std::size_t count = std::min(kGcChunk, n - chunk_begin);
 
@@ -96,7 +90,7 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
         std::vector<std::uint8_t>& tables_payload = ctx.aux_recv_scratch();
         ctx.transport().recv_bytes_into(tables_payload);
         ctx.transport().set_phase(saved_phase);
-        require(tables_payload.size() == count * (table_blocks * 16 + decode_bytes),
+        require(tables_payload.size() == count * crypto::garbled_bytes(circuit),
                 "GC table payload size mismatch");
 
         // Evaluator label OT: choice bits are this party's share bits.
@@ -116,26 +110,11 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
         ctx.transport().recv_bytes_into(label_payload);
         require(label_payload.size() == count * g_bits * 16, "GC garbler label size mismatch");
 
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint8_t* base = tables_payload.data() + i * (table_blocks * 16 + decode_bytes);
-            std::vector<crypto::Block128> tables(table_blocks);
-            for (std::size_t k = 0; k < table_blocks; ++k)
-                tables[k] = crypto::Block128::from_bytes(base + 16 * k);
-            std::vector<std::uint8_t> decode(circuit.outputs.size());
-            const std::uint8_t* dec_base = base + table_blocks * 16;
-            for (std::size_t k = 0; k < decode.size(); ++k)
-                decode[k] = (dec_base[k / 8] >> (k % 8)) & 1U;
-
-            std::vector<crypto::Block128> g_labels(g_bits);
-            for (std::size_t k = 0; k < g_bits; ++k)
-                g_labels[k] =
-                    crypto::Block128::from_bytes(label_payload.data() + (i * g_bits + k) * 16);
-            const std::span<const crypto::Block128> e_labels(
-                eval_labels.data() + i * 64 * e_words, 64 * e_words);
-
-            const auto bits = crypto::evaluate_garbled(circuit, tables, g_labels, e_labels, decode);
-            out[chunk_begin + i] = crypto::from_bits(bits);
-        }
+        const std::span<std::uint8_t> chunk_bits(bits.data(), count * n_outputs);
+        crypto::evaluate_batch(circuit, count, tables_payload, label_payload, eval_labels,
+                               chunk_bits);
+        for (std::size_t i = 0; i < count; ++i)
+            out[chunk_begin + i] = crypto::from_bits(chunk_bits.subspan(i * n_outputs, n_outputs));
     }
     return out;
 }

@@ -1,7 +1,8 @@
 // Tests for the crypto substrate: ChaCha20 against RFC 8439 vectors,
 // SHA-256 against FIPS vectors, SipHash reference vector, secret sharing,
-// IKNP OT extension (all flavors) over the threaded channel, and garbled
-// circuits (property-tested against plaintext evaluation).
+// IKNP OT extension (all flavors) over the threaded channel, the batched
+// random-OT hash accessors, and garbled circuits (property-tested against
+// plaintext evaluation, one instance and in lockstep batches).
 
 #include <gtest/gtest.h>
 
@@ -131,6 +132,62 @@ struct OtFixture {
     OtSetupPair setup = dealer_base_ots(Block128{0xAB, 0xCD});
 };
 
+/// Every output of an extension at width W, read through the range
+/// accessors; also checks that the chunks arrive in order.
+template <typename W>
+std::pair<std::vector<W>, std::vector<W>> sender_outputs(const RotSenderOutput& rot) {
+    std::vector<W> m0, m1;
+    rot.for_each_chunk<W>([&](std::size_t begin, auto c0, auto c1) {
+        EXPECT_EQ(begin, m0.size());
+        EXPECT_LE(c0.size(), kRotChunk);
+        m0.insert(m0.end(), c0.begin(), c0.end());
+        m1.insert(m1.end(), c1.begin(), c1.end());
+    });
+    return {m0, m1};
+}
+
+template <typename W>
+std::vector<W> receiver_outputs(const RotReceiverOutput& rot) {
+    std::vector<W> m;
+    rot.for_each_chunk<W>([&](std::size_t begin, auto c) {
+        EXPECT_EQ(begin, m.size());
+        EXPECT_LE(c.size(), kRotChunk);
+        m.insert(m.end(), c.begin(), c.end());
+    });
+    return m;
+}
+
+TEST(OtExtension, RangeAccessorsHashEveryColumn) {
+    // Sizes on both sides of the hash chunk boundary, and a tweak that
+    // wraps past 2^64 inside the largest.
+    ChaCha20Prg prg(Block128{21, 22});
+    for (const std::size_t n : {1UL, 255UL, 256UL, 257UL, 4099UL}) {
+        RotSenderOutput sender{.q = {}, .s = prg.next_block(), .tweak = ~std::uint64_t{0} - 1000};
+        RotReceiverOutput receiver{.t = {}, .tweak = prg.next_u64()};
+        for (std::size_t j = 0; j < n; ++j) {
+            sender.q.push_back(prg.next_block());
+            receiver.t.push_back(prg.next_block());
+        }
+        const auto [m0, m1] = sender_outputs<Block128>(sender);
+        const auto [m0_lo, m1_lo] = sender_outputs<std::uint64_t>(sender);
+        const auto m = receiver_outputs<Block128>(receiver);
+        const auto m_lo = receiver_outputs<std::uint64_t>(receiver);
+        ASSERT_EQ(m0.size(), n);
+        ASSERT_EQ(m0_lo.size(), n);
+        ASSERT_EQ(m.size(), n);
+        ASSERT_EQ(m_lo.size(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint64_t ts = sender.tweak + j, tr = receiver.tweak + j;
+            ASSERT_EQ(m0[j], cr_hash(ts, sender.q[j])) << "n " << n << " OT " << j;
+            ASSERT_EQ(m1[j], cr_hash(ts, sender.q[j] ^ sender.s)) << "n " << n << " OT " << j;
+            ASSERT_EQ(m[j], cr_hash(tr, receiver.t[j])) << "n " << n << " OT " << j;
+            ASSERT_EQ(m0_lo[j], cr_hash_u64(ts, sender.q[j])) << "n " << n << " OT " << j;
+            ASSERT_EQ(m1_lo[j], cr_hash_u64(ts, sender.q[j] ^ sender.s)) << "n " << n;
+            ASSERT_EQ(m_lo[j], cr_hash_u64(tr, receiver.t[j])) << "n " << n << " OT " << j;
+        }
+    }
+}
+
 TEST(OtExtension, RandomOtCorrelation) {
     OtFixture fx;
     const std::size_t n = 300;
@@ -150,15 +207,23 @@ TEST(OtExtension, RandomOtCorrelation) {
             receiver_out = ext.extend(t, choices);
         });
 
+    const auto [m0, m1] = sender_outputs<Block128>(sender_out);
+    const auto [m0_lo, m1_lo] = sender_outputs<std::uint64_t>(sender_out);
+    const auto m = receiver_outputs<Block128>(receiver_out);
+    const auto m_lo = receiver_outputs<std::uint64_t>(receiver_out);
+    ASSERT_EQ(m0.size(), n);
+    ASSERT_EQ(m0_lo.size(), n);
+    ASSERT_EQ(m.size(), n);
+    ASSERT_EQ(m_lo.size(), n);
     for (std::size_t j = 0; j < n; ++j) {
-        const Block128 expected = choices[j] ? sender_out.m1(j) : sender_out.m0(j);
-        EXPECT_EQ(receiver_out.m(j), expected) << "OT " << j;
-        EXPECT_NE(sender_out.m0(j), sender_out.m1(j));
+        const Block128 expected = choices[j] ? m1[j] : m0[j];
+        EXPECT_EQ(m[j], expected) << "OT " << j;
+        EXPECT_NE(m0[j], m1[j]);
         // The 64-bit outputs are the low words of the 128-bit ones, so
         // narrowing a caller's hash never changes what it puts on the wire.
-        EXPECT_EQ(sender_out.m0_u64(j), sender_out.m0(j).lo) << "OT " << j;
-        EXPECT_EQ(sender_out.m1_u64(j), sender_out.m1(j).lo) << "OT " << j;
-        EXPECT_EQ(receiver_out.m_u64(j), receiver_out.m(j).lo) << "OT " << j;
+        EXPECT_EQ(m0_lo[j], m0[j].lo) << "OT " << j;
+        EXPECT_EQ(m1_lo[j], m1[j].lo) << "OT " << j;
+        EXPECT_EQ(m_lo[j], m[j].lo) << "OT " << j;
     }
 }
 
@@ -208,9 +273,11 @@ TEST(OtExtension, SequentialExtensionsDiffer) {
             r1 = ext.extend(t, choices);
             r2 = ext.extend(t, choices);
         });
-    EXPECT_EQ(r1.m(0), s1.m0(0));
-    EXPECT_EQ(r2.m(0), s2.m0(0));
-    EXPECT_NE(s1.m0(0), s2.m0(0));  // tweak advanced
+    const Block128 s1_m0 = sender_outputs<Block128>(s1).first[0];
+    const Block128 s2_m0 = sender_outputs<Block128>(s2).first[0];
+    EXPECT_EQ(receiver_outputs<Block128>(r1)[0], s1_m0);
+    EXPECT_EQ(receiver_outputs<Block128>(r2)[0], s2_m0);
+    EXPECT_NE(s1_m0, s2_m0);  // tweak advanced
 }
 
 TEST(ChosenOt, TransfersSelectedBlocks) {
@@ -401,6 +468,62 @@ TEST(Garbling, MatchesPlainEvaluationOnReluCircuit) {
         const auto garbled_out = evaluate_garbled(c, g.tables, ga, ea, g.output_decode);
         const auto plain_out = evaluate_plain(c, gbits, ebits);
         EXPECT_EQ(garbled_out, plain_out) << "trial " << trial;
+    }
+}
+
+TEST(Garbling, LockstepBatchMatchesOneInstanceGarblings) {
+    // Two full lane groups and a partial third.
+    const std::size_t count = 2 * kGcLanes + 5;
+    for (const Circuit& c : {build_relu_circuit(64), build_max_circuit(64, 4)}) {
+        const auto g_inputs = static_cast<std::size_t>(c.num_garbler_inputs);
+        const auto e_inputs = static_cast<std::size_t>(c.num_evaluator_inputs);
+        const std::size_t n_inputs = g_inputs + e_inputs;
+        const std::size_t stride = garbled_bytes(c);
+        ASSERT_EQ(stride, c.and_count() * 32 + (c.outputs.size() + 7) / 8);
+
+        ChaCha20Prg batch_prg(Block128{123, 456}), single_prg(Block128{123, 456});
+        std::vector<std::uint8_t> garbled(count * stride);
+        std::vector<Block128> deltas(count), labels(count * n_inputs);
+        garble_batch(c, batch_prg, count, garbled, deltas, labels);
+        std::vector<Garbling> singles;
+        for (std::size_t i = 0; i < count; ++i) {
+            singles.push_back(garble(c, single_prg));
+            const Garbling& g = singles.back();
+            const std::uint8_t* bytes = garbled.data() + i * stride;
+            ASSERT_EQ(deltas[i], g.delta) << "instance " << i;
+            for (std::size_t k = 0; k < g.tables.size(); ++k)
+                ASSERT_EQ(Block128::from_bytes(bytes + 16 * k), g.tables[k])
+                    << "instance " << i << " table block " << k;
+            for (std::size_t o = 0; o < g.output_decode.size(); ++o)
+                ASSERT_EQ((bytes[32 * c.and_count() + o / 8] >> (o % 8)) & 1U, g.output_decode[o])
+                    << "instance " << i << " output " << o;
+            for (std::size_t k = 0; k < g_inputs; ++k)
+                ASSERT_EQ(labels[i * n_inputs + k], g.garbler_zero_labels[k]) << "instance " << i;
+            for (std::size_t k = 0; k < e_inputs; ++k)
+                ASSERT_EQ(labels[i * n_inputs + g_inputs + k], g.evaluator_zero_labels[k])
+                    << "instance " << i;
+        }
+        EXPECT_EQ(batch_prg.next_u64(), single_prg.next_u64()) << "PRGs end apart";
+
+        // The lockstep evaluator decodes every instance as the plain circuit does.
+        c2pi::Rng rng(26);
+        std::vector<std::uint8_t> garbler_bytes(count * g_inputs * 16), want;
+        std::vector<Block128> evaluator_labels;
+        for (std::size_t i = 0; i < count; ++i) {
+            std::vector<std::uint8_t> gbits(g_inputs), ebits(e_inputs);
+            for (auto& bit : gbits) bit = static_cast<std::uint8_t>(rng.next_u64() & 1);
+            for (auto& bit : ebits) bit = static_cast<std::uint8_t>(rng.next_u64() & 1);
+            for (std::size_t k = 0; k < g_inputs; ++k)
+                singles[i].garbler_label(k, gbits[k] != 0).to_bytes(
+                    garbler_bytes.data() + 16 * (i * g_inputs + k));
+            for (std::size_t k = 0; k < e_inputs; ++k)
+                evaluator_labels.push_back(singles[i].evaluator_label(k, ebits[k] != 0));
+            const auto plain = evaluate_plain(c, gbits, ebits);
+            want.insert(want.end(), plain.begin(), plain.end());
+        }
+        std::vector<std::uint8_t> got(count * c.outputs.size());
+        evaluate_batch(c, count, garbled, garbler_bytes, evaluator_labels, got);
+        EXPECT_EQ(got, want);
     }
 }
 

@@ -5,8 +5,9 @@
 // exactly, not merely compute congruent values. Coverage includes
 // lazy-reduction boundary values (near p, 2p and 4p), non-multiple-of-
 // vector-width lengths (tail loops), the small-n scalar fallback inside
-// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, and
-// the multi-seed ChaCha20 entry against ChaCha20Prg.
+// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, the
+// multi-seed ChaCha20 entry against ChaCha20Prg, and the batched cr_hash
+// against crypto::cr_hash / cr_hash_u64.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/hash.hpp"
 #include "he/kernels.hpp"
 #include "he/modmath.hpp"
 #include "he/ntt.hpp"
@@ -287,6 +289,38 @@ void reference_block(const std::uint32_t in[16], std::uint8_t out[64]) {
     for (int i = 0; i < 16; ++i) {
         const std::uint32_t v = x[i] + in[i];
         std::memcpy(out + 4 * i, &v, 4);
+    }
+}
+
+TEST_F(KernelsTest, CrHashBatchMatchesCrHashOnEveryTier) {
+    using c2pi::crypto::Block128;
+    std::mt19937_64 rng(0xC2B1'000B);
+    // A tweak 5 below 2^64 wraps inside the larger batches.
+    for (const u64 tweak : {u64{0}, u64{0x1234'5678}, ~u64{0} - 4}) {
+        for (const u64 step : {u64{0}, u64{1}}) {
+            for (const Block128 offset : {Block128{}, Block128{rng(), rng()}}) {
+                for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 9UL, 15UL, 16UL, 17UL, 1000UL}) {
+                    std::vector<Block128> x(n);
+                    for (auto& b : x) b = {rng(), rng()};
+                    const u64 off[2] = {offset.lo, offset.hi};
+                    for (const auto* k : kernels::supported()) {
+                        std::vector<Block128> wide(n, Block128{0xAA, 0xAA});
+                        std::vector<u64> narrow(n, 0xAA);
+                        k->cr_hash_batch(reinterpret_cast<const u64*>(x.data()), n, tweak, step,
+                                         off, true, reinterpret_cast<u64*>(wide.data()));
+                        k->cr_hash_batch(reinterpret_cast<const u64*>(x.data()), n, tweak, step,
+                                         off, false, narrow.data());
+                        for (std::size_t i = 0; i < n; ++i) {
+                            const u64 t = tweak + i * step;
+                            ASSERT_EQ(wide[i], c2pi::crypto::cr_hash(t, x[i] ^ offset))
+                                << k->name << " n=" << n << " i=" << i << " step=" << step;
+                            ASSERT_EQ(narrow[i], c2pi::crypto::cr_hash_u64(t, x[i] ^ offset))
+                                << k->name << " n=" << n << " i=" << i << " step=" << step;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
