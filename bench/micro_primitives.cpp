@@ -78,6 +78,22 @@ void BM_BfvEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_BfvEncrypt)->Arg(1024)->Arg(4096);
 
+// The client's per-response decrypt: a 2-limb ciphertext, as the HE
+// linear layers ship them after the mod switch.
+void BM_BfvDecrypt(benchmark::State& state) {
+    const he::BfvContext ctx({.n = static_cast<std::size_t>(state.range(0)), .limbs = 4});
+    crypto::ChaCha20Prg prg(crypto::Block128{1, 2});
+    const auto sk = ctx.keygen(prg);
+    std::vector<Ring> plain(ctx.n(), 42);
+    auto ct = ctx.encrypt(plain, sk, prg);
+    ctx.mod_switch_to_two_limbs(ct);
+    for (auto _ : state) {
+        auto m = ctx.decrypt(ct, sk);
+        benchmark::DoNotOptimize(m.data());
+    }
+}
+BENCHMARK(BM_BfvDecrypt)->Arg(4096);
+
 void BM_BfvMultiplyPlainAccumulatePrecomputed(benchmark::State& state) {
     // The compiled path: NTT-form weights with Shoup companions, built
     // once.

@@ -1,7 +1,5 @@
 #include "he/bfv.hpp"
 
-#include <cmath>
-
 namespace c2pi::he {
 
 namespace {
@@ -15,6 +13,22 @@ u64 lift_signed_shoup(Ring v, u64 p, u64 one_shoup) {
     if (sv >= 0) return reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
     const u64 mag = reduce_mod_shoup(u64{0} - v, one_shoup, p);
     return mag == 0 ? 0 : p - mag;
+}
+
+/// floor(x 2^64 / p) and (x 2^64) mod p for x < p, divisionless: with
+/// 2^64 = f p + r (f = floor(2^64 / p)), x 2^64 = x f p + x r, and one
+/// Shoup product splits x r into quot p + rem.
+struct Scaled64 {
+    u64 quot, rem;
+};
+Scaled64 scale_by_2_64(u64 x, u64 p, u64 f, u64 r, u64 r_shoup) {
+    const u64 q = static_cast<u64>((static_cast<u128>(x) * r_shoup) >> 64);
+    Scaled64 out{x * f + q, x * r - q * p};  // rem in [0, 2p)
+    if (out.rem >= p) {
+        out.rem -= p;
+        ++out.quot;
+    }
+    return out;
 }
 }  // namespace
 
@@ -65,9 +79,28 @@ BfvContext::BfvContext(Params params) : params_(params) {
     // the response path (add_plain, mod switch) becomes a high-mul.
     delta_shoup_.resize(primes_.size());
     one_shoup_.resize(primes_.size());
+    r64_.resize(primes_.size());
+    r64_shoup_.resize(primes_.size());
     for (std::size_t i = 0; i < primes_.size(); ++i) {
-        delta_shoup_[i] = shoup_precompute(delta_mod_[i], primes_[i]);
-        one_shoup_[i] = reduce_precompute(primes_[i]);
+        const u64 p = primes_[i];
+        delta_shoup_[i] = shoup_precompute(delta_mod_[i], p);
+        one_shoup_[i] = reduce_precompute(p);
+        r64_[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
+        r64_shoup_[i] = shoup_precompute(r64_[i], p);
+    }
+
+    // decrypt's CRT constants for every active-limb count it can meet.
+    qhat_inv_.resize(primes_.size() + 1);
+    qhat_inv_shoup_.resize(primes_.size() + 1);
+    for (std::size_t limbs = 1; limbs <= primes_.size(); ++limbs) {
+        for (std::size_t i = 0; i < limbs; ++i) {
+            const u64 p = primes_[i];
+            u64 qhat = 1;
+            for (std::size_t k = 0; k < limbs; ++k)
+                if (k != i) qhat = mul_mod(qhat, primes_[k] % p, p);
+            qhat_inv_[limbs].push_back(inv_mod(qhat, p));
+            qhat_inv_shoup_[limbs].push_back(shoup_precompute(qhat_inv_[limbs].back(), p));
+        }
     }
 
     if (params_.limbs >= 4) {
@@ -81,8 +114,8 @@ BfvContext::BfvContext(Params params) : params_(params) {
             const u64 p = primes_[i];
             ms_consts_.p[i] = p;
             ms_consts_.one_shoup[i] = one_shoup_[i];
-            ms_consts_.r64[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
-            ms_consts_.r64_shoup[i] = shoup_precompute(ms_consts_.r64[i], p);
+            ms_consts_.r64[i] = r64_[i];
+            ms_consts_.r64_shoup[i] = r64_shoup_[i];
             ms_consts_.drop_inv[i] = inv_mod(static_cast<u64>(drop % p), p);
             ms_consts_.drop_inv_shoup[i] = shoup_precompute(ms_consts_.drop_inv[i], p);
         }
@@ -142,6 +175,9 @@ SecretKey BfvContext::keygen(crypto::ChaCha20Prg& prg) const {
         }
     }
     poly_ntt(sk.s_ntt);
+    sk.s_shoup.resize(primes_.size());
+    for (std::size_t i = 0; i < primes_.size(); ++i)
+        for (const u64 s : sk.s_ntt.limbs[i]) sk.s_shoup[i].push_back(shoup_precompute(s, primes_[i]));
     return sk;
 }
 
@@ -159,11 +195,10 @@ Ciphertext BfvContext::encrypt(std::span<const Ring> plain, const SecretKey& sk,
     // a * s in NTT domain, back to coefficients.
     RnsPoly as = zero_poly(params_.limbs);
     as.ntt_form = true;
-    for (std::size_t i = 0; i < primes_.size(); ++i) {
-        const u64 p = primes_[i];
-        for (std::size_t j = 0; j < params_.n; ++j)
-            as.limbs[i][j] = mul_mod(a.limbs[i][j], sk.s_ntt.limbs[i][j], p);
-    }
+    const auto& kr = kernels::active();
+    for (std::size_t i = 0; i < primes_.size(); ++i)
+        kr.mul_shoup(as.limbs[i].data(), a.limbs[i].data(), sk.s_ntt.limbs[i].data(),
+                     sk.s_shoup[i].data(), params_.n, primes_[i]);
     poly_intt(as);
 
     // c0 = -(a s) + e + Δ m   (coefficient form).
@@ -192,47 +227,42 @@ Ciphertext BfvContext::encrypt(std::span<const Ring> plain, const SecretKey& sk,
 std::vector<Ring> BfvContext::decrypt(const Ciphertext& ct, const SecretKey& sk) const {
     require(!ct.ntt_form, "decrypt expects coefficient form");
     const int limbs = ct.active_limbs();
+    require(limbs >= 1 && limbs <= params_.limbs, "decrypt limb count out of range");
+    const auto L = static_cast<std::size_t>(limbs);
 
     // c(s) = c0 + c1 * s per limb.
-    std::vector<std::vector<u64>> cs(static_cast<std::size_t>(limbs));
-    for (int i = 0; i < limbs; ++i) {
-        const u64 p = primes_[static_cast<std::size_t>(i)];
-        std::vector<u64> c1 = ct.c1.limbs[static_cast<std::size_t>(i)];
-        ntt_[static_cast<std::size_t>(i)].forward(c1);
-        for (std::size_t j = 0; j < params_.n; ++j)
-            c1[j] = mul_mod(c1[j], sk.s_ntt.limbs[static_cast<std::size_t>(i)][j], p);
-        ntt_[static_cast<std::size_t>(i)].inverse(c1);
-        for (std::size_t j = 0; j < params_.n; ++j)
-            c1[j] = add_mod(c1[j], ct.c0.limbs[static_cast<std::size_t>(i)][j], p);
-        cs[static_cast<std::size_t>(i)] = std::move(c1);
+    const auto& kr = kernels::active();
+    std::vector<std::vector<u64>> cs(L);
+    for (std::size_t i = 0; i < L; ++i) {
+        const u64 p = primes_[i];
+        std::vector<u64> c1 = ct.c1.limbs[i];
+        ntt_[i].forward(c1);
+        kr.mul_shoup(c1.data(), c1.data(), sk.s_ntt.limbs[i].data(), sk.s_shoup[i].data(),
+                     params_.n, p);
+        ntt_[i].inverse(c1);
+        for (std::size_t j = 0; j < params_.n; ++j) c1[j] = add_mod(c1[j], ct.c0.limbs[i][j], p);
+        cs[i] = std::move(c1);
     }
 
     // m = round(t * c(s) / q) mod t with t = 2^64:
     //   write c = sum_i y_i * (q / q_i) - h q with y_i = [c_i * qhat_i^{-1}]_{q_i};
     //   then t c / q = sum_i y_i * 2^64 / q_i  (mod 2^64) since h t ≡ 0.
-    std::vector<u64> qhat_inv(static_cast<std::size_t>(limbs));
-    for (int i = 0; i < limbs; ++i) {
-        const u64 p = primes_[static_cast<std::size_t>(i)];
-        u64 qhat = 1;
-        for (int k = 0; k < limbs; ++k)
-            if (k != i) qhat = mul_mod(qhat, primes_[static_cast<std::size_t>(k)] % p, p);
-        qhat_inv[static_cast<std::size_t>(i)] = inv_mod(qhat, p);
-    }
-
+    // Each term's integer part accumulates mod 2^64; its fraction
+    // rem_i / q_i accumulates as floor(rem_i 2^64 / q_i), 64-bit fixed point.
+    const std::vector<u64>& qhat_inv = qhat_inv_[L];
+    const std::vector<u64>& qhat_inv_shoup = qhat_inv_shoup_[L];
     std::vector<Ring> out(params_.n);
     for (std::size_t j = 0; j < params_.n; ++j) {
         u64 integer_part = 0;
-        long double fraction = 0.0L;
-        for (int i = 0; i < limbs; ++i) {
-            const u64 p = primes_[static_cast<std::size_t>(i)];
-            const u64 y = mul_mod(cs[static_cast<std::size_t>(i)][j],
-                                  qhat_inv[static_cast<std::size_t>(i)], p);
-            const u128 scaled = static_cast<u128>(y) << 64;
-            integer_part += static_cast<u64>(scaled / p);
-            fraction += static_cast<long double>(static_cast<u64>(scaled % p)) /
-                        static_cast<long double>(p);
+        u128 fraction = 0;
+        for (std::size_t i = 0; i < L; ++i) {
+            const u64 p = primes_[i];
+            const u64 y = mul_mod_shoup(cs[i][j], qhat_inv[i], qhat_inv_shoup[i], p);
+            const Scaled64 term = scale_by_2_64(y, p, one_shoup_[i], r64_[i], r64_shoup_[i]);
+            integer_part += term.quot;
+            fraction += scale_by_2_64(term.rem, p, one_shoup_[i], r64_[i], r64_shoup_[i]).quot;
         }
-        out[j] = integer_part + static_cast<u64>(llroundl(fraction));
+        out[j] = integer_part + static_cast<u64>((fraction + (u128{1} << 63)) >> 64);
     }
     return out;
 }

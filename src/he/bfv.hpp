@@ -54,6 +54,7 @@ struct Ciphertext {
 
 struct SecretKey {
     RnsPoly s_ntt;  ///< ternary secret, NTT form, all limbs
+    std::vector<std::vector<u64>> s_shoup;  ///< Shoup companions of s_ntt, same layout
 };
 
 class BfvContext {
@@ -137,6 +138,10 @@ private:
     std::vector<u64> delta_mod_;          ///< Δ mod q_i (fresh modulus)
     std::vector<u64> delta_shoup_;        ///< Shoup companions of Δ mod q_i
     std::vector<u64> one_shoup_;          ///< floor(2^64 / q_i) for divisionless a mod q_i
+    std::vector<u64> r64_, r64_shoup_;    ///< 2^64 mod q_i (+ companion)
+    /// decrypt's CRT constants by active-limb count L (index L): qhat_i^{-1}
+    /// mod q_i for qhat_i = prod_{k < L, k != i} q_k, and Shoup companions.
+    std::vector<std::vector<u64>> qhat_inv_, qhat_inv_shoup_;
     kernels::ModSwitchConsts ms_consts_;  ///< 4 -> 2 limb switch constants (limbs >= 4)
 };
 

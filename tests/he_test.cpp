@@ -1,11 +1,13 @@
 // Tests for the mini-BFV stack: modular arithmetic, NTT round-trips and
 // negacyclic product property, BFV encrypt/decrypt correctness over the
-// full 2^64 plaintext ring, homomorphic conv/matvec against plaintext
+// full 2^64 plaintext ring, the divisionless decrypt against its first
+// formula, homomorphic conv/matvec against plaintext
 // reference (through the compiled PlainNtt path the linear layers run),
 // the sparse mask fold, and mod-switch.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/rng.hpp"
@@ -244,6 +246,86 @@ TEST(Bfv, EncryptDecryptRoundTripSmallValues) {
     for (std::size_t i = 0; i < plain.size(); ++i) plain[i] = i * 3;
     const Ciphertext ct = ctx.encrypt(plain, sk, prg);
     EXPECT_EQ(ctx.decrypt(ct, sk), plain);
+}
+
+/// decrypt as it was first written, kept as the reference for the
+/// divisionless one: c1 * s by 128-bit mul_mod, qhat_i^{-1} recomputed
+/// per call, floor(y 2^64 / q_i) and its remainder by 128-bit division
+/// and the fraction summed in long double.
+std::vector<Ring> reference_decrypt(const BfvContext& ctx, const Ciphertext& ct,
+                                    const SecretKey& sk) {
+    const int limbs = ct.active_limbs();
+    std::vector<std::vector<u64>> cs(static_cast<std::size_t>(limbs));
+    for (int i = 0; i < limbs; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        const u64 p = ctx.prime(i);
+        const NttTables ntt(p, ctx.n());
+        std::vector<u64> c1 = ct.c1.limbs[u];
+        ntt.forward(c1);
+        for (std::size_t j = 0; j < ctx.n(); ++j) c1[j] = mul_mod(c1[j], sk.s_ntt.limbs[u][j], p);
+        ntt.inverse(c1);
+        for (std::size_t j = 0; j < ctx.n(); ++j) c1[j] = add_mod(c1[j], ct.c0.limbs[u][j], p);
+        cs[u] = std::move(c1);
+    }
+    std::vector<u64> qhat_inv(static_cast<std::size_t>(limbs));
+    for (int i = 0; i < limbs; ++i) {
+        const u64 p = ctx.prime(i);
+        u64 qhat = 1;
+        for (int k = 0; k < limbs; ++k)
+            if (k != i) qhat = mul_mod(qhat, ctx.prime(k) % p, p);
+        qhat_inv[static_cast<std::size_t>(i)] = inv_mod(qhat, p);
+    }
+    std::vector<Ring> out(ctx.n());
+    for (std::size_t j = 0; j < ctx.n(); ++j) {
+        u64 integer_part = 0;
+        long double fraction = 0.0L;
+        for (int i = 0; i < limbs; ++i) {
+            const u64 p = ctx.prime(i);
+            const u64 y = mul_mod(cs[static_cast<std::size_t>(i)][j],
+                                  qhat_inv[static_cast<std::size_t>(i)], p);
+            const u128 scaled = static_cast<u128>(y) << 64;
+            integer_part += static_cast<u64>(scaled / p);
+            fraction += static_cast<long double>(static_cast<u64>(scaled % p)) /
+                        static_cast<long double>(p);
+        }
+        out[j] = integer_part + static_cast<u64>(llroundl(fraction));
+    }
+    return out;
+}
+
+TEST(Bfv, DecryptMatchesReferenceFormula) {
+    for (const int limbs : {2, 4}) {
+        const BfvContext ctx({.n = 1024, .limbs = limbs});
+        crypto::ChaCha20Prg prg(crypto::Block128{9, static_cast<std::uint64_t>(limbs)});
+        const SecretKey sk = ctx.keygen(prg);
+        c2pi::Rng rng(10);
+        std::vector<Ring> plain(ctx.n());
+        for (auto& v : plain) v = rng.next_u64();
+        const Ring edges[] = {0, 1, ~Ring{0}, Ring{1} << 63, (Ring{1} << 63) - 1};
+        for (std::size_t k = 0; k < std::size(edges); ++k) plain[k] = edges[k];
+
+        std::vector<Ciphertext> cts{ctx.encrypt(plain, sk, prg)};
+        if (limbs == 4) {  // the response path: switched down to two limbs
+            cts.push_back(ctx.encrypt(plain, sk, prg));
+            ctx.mod_switch_to_two_limbs(cts.back());
+        }
+        // A ciphertext of uniform residues: its fractions land anywhere in [0, 1).
+        Ciphertext uniform = cts.front();
+        for (int i = 0; i < limbs; ++i)
+            for (auto* poly : {&uniform.c0, &uniform.c1})
+                for (auto& c : poly->limbs[static_cast<std::size_t>(i)]) c = rng.next_u64() % ctx.prime(i);
+        cts.push_back(uniform);
+
+        for (const Ciphertext& ct : cts) {
+            EXPECT_EQ(ctx.decrypt(ct, sk), reference_decrypt(ctx, ct, sk))
+                << limbs << " fresh limbs, " << ct.active_limbs() << " active";
+        }
+        // Only four fresh limbs leave Delta m exact over the full 2^64 ring.
+        if (limbs == 4) {
+            EXPECT_EQ(ctx.decrypt(cts[0], sk), plain);
+            EXPECT_EQ(ctx.decrypt(cts[1], sk), plain);
+        }
+    }
 }
 
 TEST(Bfv, EncryptDecryptFullRangeRingValues) {
