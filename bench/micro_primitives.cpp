@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,13 +140,13 @@ void add_response_masks(const he::BfvContext& ctx, const he::LinearLayout& layou
 
 /// The server-side online hot loop of the HE conv protocol, per request:
 /// everything between "input ciphertexts are in NTT form" and "responses
-/// ready to ship", over the compiled PlainNtt cache (the CompiledModel
-/// thread pool parallelizes limbs). The per-request input receive/to_ntt
-/// is excluded: it is amortized over all output channels.
+/// ready to ship", over the compiled PlainNtt cache. The per-request
+/// input receive/to_ntt is excluded: it is amortized over all output
+/// channels. One thread, no pool: a pool over every vCPU times the
+/// host's scheduling (a shared VM read 28-62 ms against 3.9 ms), and the
+/// pool's limb split is covered by parity_test.
 void BM_HeConvServerOnline(benchmark::State& state) {
-    const std::unique_ptr<core::ThreadPool> pool =
-        core::resolve_thread_count(0) > 1 ? std::make_unique<core::ThreadPool>(0) : nullptr;
-    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4, .pool = pool.get()});
+    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4});
     const he::ConvGeometry geo{.in_channels = 64,
                                .height = 16,
                                .width = 16,
@@ -195,10 +194,9 @@ BENCHMARK(BM_HeConvServerOnline)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Fully-connected counterpart: per-block weight multiply + response
 /// finalize (the input ciphertext is NTT'd once per request, outside).
+/// One thread, as BM_HeConvServerOnline.
 void BM_HeMatvecServerOnline(benchmark::State& state) {
-    const std::unique_ptr<core::ThreadPool> pool =
-        core::resolve_thread_count(0) > 1 ? std::make_unique<core::ThreadPool>(0) : nullptr;
-    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4, .pool = pool.get()});
+    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4});
     const std::int64_t in = 1024, out = 8;
     Rng rng(22);
     const FixedPointFormat fmt{.frac_bits = 16};

@@ -16,8 +16,19 @@ std::size_t input_count(const Circuit& circuit) {
 std::size_t decode_bytes(const Circuit& circuit) { return (circuit.outputs.size() + 7) / 8; }
 
 /// Lockstep labels are wire-major: wire w of a group's lane l sits at
-/// lane_offset(w) + l.
-std::size_t lane_offset(std::int32_t wire) { return static_cast<std::size_t>(wire) * kGcLanes; }
+/// w * width + l, width = min(count, kGcLanes) lanes per wire.
+struct LaneLabels {
+    LaneLabels(const Circuit& circuit, std::size_t count)
+        : width(std::min(count, kGcLanes)),
+          labels(static_cast<std::size_t>(circuit.num_wires) * width) {}
+
+    [[nodiscard]] Block128* wire(std::int32_t w) {
+        return labels.data() + static_cast<std::size_t>(w) * width;
+    }
+
+    std::size_t width;
+    std::vector<Block128> labels;
+};
 
 }  // namespace
 
@@ -43,8 +54,7 @@ void garble_batch(const Circuit& circuit, ChaCha20Prg& prg, std::size_t count,
         for (std::size_t k = 0; k < n_inputs; ++k) input_labels[i * n_inputs + k] = prg.next_block();
     }
 
-    // The group's zero-labels, wire-major (lane_offset).
-    std::vector<Block128> zero(static_cast<std::size_t>(circuit.num_wires) * kGcLanes);
+    LaneLabels zero(circuit, count);  // the group's zero-labels
     Block128 x[2 * kGcLanes], ha[2 * kGcLanes], hb[2 * kGcLanes];
     for (std::size_t first = 0; first < count; first += kGcLanes) {
         const std::size_t lanes = std::min(kGcLanes, count - first);
@@ -52,16 +62,16 @@ void garble_batch(const Circuit& circuit, ChaCha20Prg& prg, std::size_t count,
         std::uint8_t* const dst = garbled.data() + first * stride;
         for (std::size_t k = 0; k < n_inputs; ++k)
             for (std::size_t l = 0; l < lanes; ++l)
-                zero[k * kGcLanes + l] = input_labels[(first + l) * n_inputs + k];
+                zero.wire(static_cast<std::int32_t>(k))[l] =
+                    input_labels[(first + l) * n_inputs + k];
 
-        const auto wire = [&](std::int32_t w) { return zero.data() + lane_offset(w); };
         std::size_t and_index = 0;
         for (const auto& gate : circuit.gates) {
-            const Block128* a = wire(gate.in0);
-            Block128* out = wire(gate.out);
+            const Block128* a = zero.wire(gate.in0);
+            Block128* out = zero.wire(gate.out);
             switch (gate.kind) {
                 case GateKind::kXor: {
-                    const Block128* b = wire(gate.in1);
+                    const Block128* b = zero.wire(gate.in1);
                     for (std::size_t l = 0; l < lanes; ++l) out[l] = a[l] ^ b[l];
                     break;
                 }
@@ -72,7 +82,7 @@ void garble_batch(const Circuit& circuit, ChaCha20Prg& prg, std::size_t count,
                 case GateKind::kAnd: {
                     // H(j0, a0), H(j0, a0 ^ delta), then the same over b0 at j1:
                     // each of the four hashes once per lane.
-                    const Block128* b = wire(gate.in1);
+                    const Block128* b = zero.wire(gate.in1);
                     const std::uint64_t j0 = 2 * and_index;
                     const std::span<const Block128> in(x, 2 * lanes);
                     for (std::size_t l = 0; l < lanes; ++l) {
@@ -113,7 +123,7 @@ void garble_batch(const Circuit& circuit, ChaCha20Prg& prg, std::size_t count,
             std::uint8_t* decode = dst + l * stride + table_bytes;
             std::fill(decode, decode + decode_bytes(circuit), std::uint8_t{0});
             for (std::size_t o = 0; o < circuit.outputs.size(); ++o) {
-                const bool colour = zero[lane_offset(circuit.outputs[o]) + l].colour();
+                const bool colour = zero.wire(circuit.outputs[o])[l].colour();
                 decode[o / 8] |= static_cast<std::uint8_t>(colour << (o % 8));
             }
         }
@@ -134,8 +144,7 @@ void evaluate_batch(const Circuit& circuit, std::size_t count,
     require(evaluator_labels.size() == count * e_inputs, "evaluator label count mismatch");
     require(out.size() == count * n_outputs, "garbled output size mismatch");
 
-    // The group's active labels, wire-major (lane_offset).
-    std::vector<Block128> active(static_cast<std::size_t>(circuit.num_wires) * kGcLanes);
+    LaneLabels active(circuit, count);  // the group's active labels
     Block128 ha[kGcLanes], hb[kGcLanes];
     for (std::size_t first = 0; first < count; first += kGcLanes) {
         const std::size_t lanes = std::min(kGcLanes, count - first);
@@ -143,20 +152,19 @@ void evaluate_batch(const Circuit& circuit, std::size_t count,
         for (std::size_t l = 0; l < lanes; ++l) {
             const std::uint8_t* g = garbler_labels.data() + (first + l) * g_inputs * 16;
             for (std::size_t k = 0; k < g_inputs; ++k)
-                active[k * kGcLanes + l] = Block128::from_bytes(g + 16 * k);
+                active.wire(static_cast<std::int32_t>(k))[l] = Block128::from_bytes(g + 16 * k);
             const Block128* e = evaluator_labels.data() + (first + l) * e_inputs;
             for (std::size_t k = 0; k < e_inputs; ++k)
-                active[(g_inputs + k) * kGcLanes + l] = e[k];
+                active.wire(static_cast<std::int32_t>(g_inputs + k))[l] = e[k];
         }
 
-        const auto wire = [&](std::int32_t w) { return active.data() + lane_offset(w); };
         std::size_t and_index = 0;
         for (const auto& gate : circuit.gates) {
-            const Block128* a = wire(gate.in0);
-            Block128* res = wire(gate.out);
+            const Block128* a = active.wire(gate.in0);
+            Block128* res = active.wire(gate.out);
             switch (gate.kind) {
                 case GateKind::kXor: {
-                    const Block128* b = wire(gate.in1);
+                    const Block128* b = active.wire(gate.in1);
                     for (std::size_t l = 0; l < lanes; ++l) res[l] = a[l] ^ b[l];
                     break;
                 }
@@ -164,7 +172,7 @@ void evaluate_batch(const Circuit& circuit, std::size_t count,
                     for (std::size_t l = 0; l < lanes; ++l) res[l] = a[l];
                     break;
                 case GateKind::kAnd: {
-                    const Block128* b = wire(gate.in1);
+                    const Block128* b = active.wire(gate.in1);
                     const std::uint64_t j0 = 2 * and_index;
                     cr_hash_batch(std::span<const Block128>(a, lanes), j0, 0, Block128{},
                                   std::span<Block128>(ha, lanes));
@@ -187,7 +195,7 @@ void evaluate_batch(const Circuit& circuit, std::size_t count,
         for (std::size_t l = 0; l < lanes; ++l) {
             const std::uint8_t* decode = src + l * stride + table_bytes;
             for (std::size_t o = 0; o < n_outputs; ++o) {
-                const bool colour = active[lane_offset(circuit.outputs[o]) + l].colour();
+                const bool colour = active.wire(circuit.outputs[o])[l].colour();
                 out[(first + l) * n_outputs + o] =
                     static_cast<std::uint8_t>(colour ^ ((decode[o / 8] >> (o % 8)) & 1U));
             }

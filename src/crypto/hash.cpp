@@ -195,22 +195,32 @@ std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x) {
     return siphash24(kCrKey1, buf);
 }
 
-// Block128 is two words, lo then hi: exactly the kernel's (lo, hi) pairs.
+namespace {
+/// The bytes of a span, as the kernel table's byte pointers take them.
+template <typename T>
+const std::uint8_t* bytes_of(std::span<const T> s) {
+    return reinterpret_cast<const std::uint8_t*>(std::as_bytes(s).data());
+}
+template <typename T>
+std::uint8_t* bytes_of(std::span<T> s) {
+    return reinterpret_cast<std::uint8_t*>(std::as_writable_bytes(s).data());
+}
+}  // namespace
+
 void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
                    const Block128& offset, std::span<Block128> out) {
     require(out.size() == x.size(), "cr_hash_batch output size mismatch");
     const std::uint64_t off[2] = {offset.lo, offset.hi};
-    he::kernels::active().cr_hash_batch(reinterpret_cast<const std::uint64_t*>(x.data()),
-                                        x.size(), tweak, step, off, /*wide=*/true,
-                                        reinterpret_cast<std::uint64_t*>(out.data()));
+    he::kernels::active().cr_hash_batch(bytes_of(x), x.size(), tweak, step, off, /*wide=*/true,
+                                        bytes_of(out));
 }
 
 void cr_hash_batch(std::span<const Block128> x, std::uint64_t tweak, std::uint64_t step,
                    const Block128& offset, std::span<std::uint64_t> out) {
     require(out.size() == x.size(), "cr_hash_batch output size mismatch");
     const std::uint64_t off[2] = {offset.lo, offset.hi};
-    he::kernels::active().cr_hash_batch(reinterpret_cast<const std::uint64_t*>(x.data()),
-                                        x.size(), tweak, step, off, /*wide=*/false, out.data());
+    he::kernels::active().cr_hash_batch(bytes_of(x), x.size(), tweak, step, off, /*wide=*/false,
+                                        bytes_of(out));
 }
 
 }  // namespace c2pi::crypto

@@ -85,14 +85,15 @@ struct Kernels {
     /// n correlation-robust hashes: out[i] = crypto::cr_hash(tweak + i * step,
     /// x[i] ^ offset), the tweak wrapping mod 2^64 (step 0: one tweak for
     /// every input, as a garbled gate; step 1: consecutive tweaks, as
-    /// random OTs). Blocks are (lo, hi) word pairs: x[i] is x[2i], x[2i + 1]
-    /// and offset is offset[0], offset[1]. With `wide` out[2i], out[2i + 1]
-    /// get the 128-bit hash; otherwise out[i] gets its low word alone
-    /// (crypto::cr_hash_u64) at half the cost. SIMD tiers run 4 (AVX2) or
-    /// 8 (AVX-512) inputs per pass, one SipHash state per lane; the n mod
-    /// width tail goes to scalar.
-    void (*cr_hash_batch)(const u64* x, std::size_t n, u64 tweak, u64 step,
-                          const u64 offset[2], bool wide, u64* out) = nullptr;
+    /// random OTs). Input x[i] is the 16 bytes at x + 16 i, two native
+    /// u64 words (lo, hi) as crypto::Block128 holds them; offset is
+    /// (offset[0], offset[1]). With `wide` the 128-bit hash goes to the 16
+    /// bytes at out + 16 i in the same layout; otherwise its low word alone
+    /// (crypto::cr_hash_u64, half the cost) goes to the 8 bytes at
+    /// out + 8 i. SIMD tiers run 4 (AVX2) or 8 (AVX-512) inputs per pass,
+    /// one SipHash state per lane; the n mod width tail goes to scalar.
+    void (*cr_hash_batch)(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, std::uint8_t* out) = nullptr;
 };
 
 /// ChaCha20's "expand 32-byte k" constants, state words 0-3.

@@ -507,8 +507,8 @@ inline void siphash24_v(const V m[3], V out[K]) {
     }
 }
 
-void cr_hash_batch_avx2(const u64* x, std::size_t n, u64 tweak, u64 step,
-                        const u64 offset[2], bool wide, u64* out) {
+void cr_hash_batch_avx2(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
+                        const u64 offset[2], bool wide, std::uint8_t* out) {
     // Unpacking two loads of two blocks each puts the pass's 4 inputs in
     // lane order (0, 2, 1, 3): the tweaks follow that order, the wide
     // stores' unpacks undo it and the narrow store permutes it back.
@@ -519,25 +519,28 @@ void cr_hash_batch_avx2(const u64* x, std::size_t n, u64 tweak, u64 step,
     const V off_hi = bcast64(offset[1]);
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4, tweak += 4 * step) {
-        const V a = load(x + 2 * i);
-        const V b = load(x + 2 * i + 4);
+        const V a = _mm256_loadu_si256(reinterpret_cast<const V*>(x + 16 * i));
+        const V b = _mm256_loadu_si256(reinterpret_cast<const V*>(x + 16 * i + 32));
         const V m[3] = {_mm256_add_epi64(bcast64(tweak), lane_tweak),
                         _mm256_xor_si256(_mm256_unpacklo_epi64(a, b), off_lo),
                         _mm256_xor_si256(_mm256_unpackhi_epi64(a, b), off_hi)};
         if (wide) {
             V h[2];
             siphash24_v<2>(m, h);
-            store(out + 2 * i, _mm256_unpacklo_epi64(h[0], h[1]));
-            store(out + 2 * i + 4, _mm256_unpackhi_epi64(h[0], h[1]));
+            _mm256_storeu_si256(reinterpret_cast<V*>(out + 16 * i),
+                                _mm256_unpacklo_epi64(h[0], h[1]));
+            _mm256_storeu_si256(reinterpret_cast<V*>(out + 16 * i + 32),
+                                _mm256_unpackhi_epi64(h[0], h[1]));
         } else {
             V h[1];
             siphash24_v<1>(m, h);
-            store(out + i, _mm256_permute4x64_epi64(h[0], 0xD8));  // lanes 0, 2, 1, 3
+            _mm256_storeu_si256(reinterpret_cast<V*>(out + 8 * i),
+                                _mm256_permute4x64_epi64(h[0], 0xD8));  // lanes 0, 2, 1, 3
         }
     }
     if (i < n)
-        scalar_kernels()->cr_hash_batch(x + 2 * i, n - i, tweak, step, offset, wide,
-                                        out + (wide ? 2 * i : i));
+        scalar_kernels()->cr_hash_batch(x + 16 * i, n - i, tweak, step, offset, wide,
+                                        out + (wide ? 16 : 8) * i);
 }
 
 }  // namespace

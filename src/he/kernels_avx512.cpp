@@ -484,8 +484,8 @@ inline void siphash24_v(const V m[3], V out[K]) {
     }
 }
 
-void cr_hash_batch_avx512(const u64* x, std::size_t n, u64 tweak, u64 step,
-                          const u64 offset[2], bool wide, u64* out) {
+void cr_hash_batch_avx512(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, std::uint8_t* out) {
     // Two-source permutes split 8 (lo, hi) blocks into a lo and a hi
     // register and merge the two hash words back into blocks.
     const V even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
@@ -501,25 +501,26 @@ void cr_hash_batch_avx512(const u64* x, std::size_t n, u64 tweak, u64 step,
     const V off_hi = bcast(offset[1]);
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8, tweak += 8 * step) {
-        const V a = load(x + 2 * i);
-        const V b = load(x + 2 * i + 8);
+        const V a = _mm512_loadu_si512(x + 16 * i);
+        const V b = _mm512_loadu_si512(x + 16 * i + 64);
         const V m[3] = {_mm512_add_epi64(bcast(tweak), lane_tweak),
                         _mm512_xor_si512(_mm512_permutex2var_epi64(a, even, b), off_lo),
                         _mm512_xor_si512(_mm512_permutex2var_epi64(a, odd, b), off_hi)};
         if (wide) {
             V h[2];
             siphash24_v<2>(m, h);
-            store(out + 2 * i, _mm512_permutex2var_epi64(h[0], merge_lo, h[1]));
-            store(out + 2 * i + 8, _mm512_permutex2var_epi64(h[0], merge_hi, h[1]));
+            _mm512_storeu_si512(out + 16 * i, _mm512_permutex2var_epi64(h[0], merge_lo, h[1]));
+            _mm512_storeu_si512(out + 16 * i + 64,
+                                _mm512_permutex2var_epi64(h[0], merge_hi, h[1]));
         } else {
             V h[1];
             siphash24_v<1>(m, h);
-            store(out + i, h[0]);
+            _mm512_storeu_si512(out + 8 * i, h[0]);
         }
     }
     if (i < n)
-        scalar_kernels()->cr_hash_batch(x + 2 * i, n - i, tweak, step, offset, wide,
-                                        out + (wide ? 2 * i : i));
+        scalar_kernels()->cr_hash_batch(x + 16 * i, n - i, tweak, step, offset, wide,
+                                        out + (wide ? 16 : 8) * i);
 }
 
 }  // namespace

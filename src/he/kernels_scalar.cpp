@@ -183,33 +183,46 @@ inline void sip_round(u64& v0, u64& v1, u64& v2, u64& v3) {
 }
 
 /// SipHash-2-4 of the 24-byte message (m0, m1, m2), little-endian words:
-/// crypto::siphash24 on cr_hash's (tweak, x.lo, x.hi) buffer.
+/// crypto::siphash24 on cr_hash's (tweak, x.lo, x.hi) buffer. One key at a
+/// time: two interleaved states spill x86-64's 16 registers.
 u64 siphash24_words(const u64 key[2], u64 m0, u64 m1, u64 m2) {
     u64 v0 = key[0] ^ kSipHashInit[0];
     u64 v1 = key[1] ^ kSipHashInit[1];
     u64 v2 = key[0] ^ kSipHashInit[2];
     u64 v3 = key[1] ^ kSipHashInit[3];
-    for (const u64 m : {m0, m1, m2, u64{24} << 56}) {
+    const auto absorb = [&](u64 m) {
         v3 ^= m;
         sip_round(v0, v1, v2, v3);
         sip_round(v0, v1, v2, v3);
         v0 ^= m;
-    }
+    };
+    absorb(m0);
+    absorb(m1);
+    absorb(m2);
+    absorb(u64{24} << 56);
     v2 ^= 0xFF;
     for (int r = 0; r < 4; ++r) sip_round(v0, v1, v2, v3);
     return v0 ^ v1 ^ v2 ^ v3;
 }
 
-void cr_hash_batch_scalar(const u64* x, std::size_t n, u64 tweak, u64 step,
-                          const u64 offset[2], bool wide, u64* out) {
+inline u64 load_word(const std::uint8_t* p) {
+    u64 w;
+    std::memcpy(&w, p, 8);
+    return w;
+}
+
+inline void store_word(std::uint8_t* p, u64 w) { std::memcpy(p, &w, 8); }
+
+void cr_hash_batch_scalar(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
+                          const u64 offset[2], bool wide, std::uint8_t* out) {
     for (std::size_t i = 0; i < n; ++i, tweak += step) {
-        const u64 lo = x[2 * i] ^ offset[0];
-        const u64 hi = x[2 * i + 1] ^ offset[1];
+        const u64 lo = load_word(x + 16 * i) ^ offset[0];
+        const u64 hi = load_word(x + 16 * i + 8) ^ offset[1];
         if (wide) {
-            out[2 * i] = siphash24_words(kCrHashKeys[0], tweak, lo, hi);
-            out[2 * i + 1] = siphash24_words(kCrHashKeys[1], tweak, lo, hi);
+            store_word(out + 16 * i, siphash24_words(kCrHashKeys[0], tweak, lo, hi));
+            store_word(out + 16 * i + 8, siphash24_words(kCrHashKeys[1], tweak, lo, hi));
         } else {
-            out[i] = siphash24_words(kCrHashKeys[0], tweak, lo, hi);
+            store_word(out + 8 * i, siphash24_words(kCrHashKeys[0], tweak, lo, hi));
         }
     }
 }

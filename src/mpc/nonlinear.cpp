@@ -25,11 +25,10 @@ void gc_batch_garbler(PartyContext& ctx, const crypto::Circuit& circuit,
     const std::size_t eval_bits = static_cast<std::size_t>(circuit.num_evaluator_inputs);
     const std::size_t n_inputs = g_bits + eval_bits;
 
-    std::vector<crypto::Block128> deltas(kGcChunk), zero_labels(kGcChunk * n_inputs);
+    const std::size_t max_count = std::min(kGcChunk, n);
+    std::vector<crypto::Block128> deltas(max_count), zero_labels(max_count * n_inputs);
     for (std::size_t chunk_begin = 0; chunk_begin < n; chunk_begin += kGcChunk) {
         const std::size_t count = std::min(kGcChunk, n - chunk_begin);
-        const std::span<const crypto::Block128> delta(deltas.data(), count);
-        const std::span<const crypto::Block128> zero(zero_labels.data(), count * n_inputs);
 
         // ---- offline: garble + ship tables and output-decode bits ----
         const auto saved_phase = ctx.transport().phase();
@@ -45,8 +44,8 @@ void gc_batch_garbler(PartyContext& ctx, const crypto::Circuit& circuit,
         std::vector<crypto::Block128> label0(count * eval_bits), label1(count * eval_bits);
         for (std::size_t i = 0; i < count; ++i)
             for (std::size_t b = 0; b < eval_bits; ++b) {
-                label0[i * eval_bits + b] = zero[i * n_inputs + g_bits + b];
-                label1[i * eval_bits + b] = zero[i * n_inputs + g_bits + b] ^ delta[i];
+                label0[i * eval_bits + b] = zero_labels[i * n_inputs + g_bits + b];
+                label1[i * eval_bits + b] = zero_labels[i * n_inputs + g_bits + b] ^ deltas[i];
             }
         crypto::ot_send_blocks(ctx.transport(), ctx.ot_sender(), label0, label1);
 
@@ -58,8 +57,8 @@ void gc_batch_garbler(PartyContext& ctx, const crypto::Circuit& circuit,
             for (std::size_t w = 0; w < g_words; ++w) {
                 const Ring value = w + 1 < g_words ? garbler_values[w][e] : neg_r[e];
                 for (int b = 0; b < 64; ++b, ++wire) {
-                    crypto::Block128 label = zero[i * n_inputs + wire];
-                    if (((value >> b) & 1U) != 0) label ^= delta[i];
+                    crypto::Block128 label = zero_labels[i * n_inputs + wire];
+                    if (((value >> b) & 1U) != 0) label ^= deltas[i];
                     label.to_bytes(label_payload.data() + (i * g_bits + wire) * 16);
                 }
             }
@@ -79,7 +78,7 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
     const std::size_t n_outputs = circuit.outputs.size();
 
     std::vector<Ring> out(n);
-    std::vector<std::uint8_t> bits(kGcChunk * n_outputs);
+    std::vector<std::uint8_t> bits(std::min(kGcChunk, n) * n_outputs);
     for (std::size_t chunk_begin = 0; chunk_begin < n; chunk_begin += kGcChunk) {
         const std::size_t count = std::min(kGcChunk, n - chunk_begin);
 

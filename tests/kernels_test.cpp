@@ -306,10 +306,11 @@ TEST_F(KernelsTest, CrHashBatchMatchesCrHashOnEveryTier) {
                     for (const auto* k : kernels::supported()) {
                         std::vector<Block128> wide(n, Block128{0xAA, 0xAA});
                         std::vector<u64> narrow(n, 0xAA);
-                        k->cr_hash_batch(reinterpret_cast<const u64*>(x.data()), n, tweak, step,
-                                         off, true, reinterpret_cast<u64*>(wide.data()));
-                        k->cr_hash_batch(reinterpret_cast<const u64*>(x.data()), n, tweak, step,
-                                         off, false, narrow.data());
+                        const auto* in = reinterpret_cast<const std::uint8_t*>(x.data());
+                        k->cr_hash_batch(in, n, tweak, step, off, true,
+                                         reinterpret_cast<std::uint8_t*>(wide.data()));
+                        k->cr_hash_batch(in, n, tweak, step, off, false,
+                                         reinterpret_cast<std::uint8_t*>(narrow.data()));
                         for (std::size_t i = 0; i < n; ++i) {
                             const u64 t = tweak + i * step;
                             ASSERT_EQ(wide[i], c2pi::crypto::cr_hash(t, x[i] ^ offset))
