@@ -509,6 +509,10 @@ inline void siphash24_v(const V m[3], V out[K]) {
 
 void cr_hash_batch_avx2(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
                         const u64 offset[2], bool wide, std::uint8_t* out) {
+    if (n < 4) {  // no full pass: skip the vector set-up
+        scalar_kernels()->cr_hash_batch(x, n, tweak, step, offset, wide, out);
+        return;
+    }
     // Unpacking two loads of two blocks each puts the pass's 4 inputs in
     // lane order (0, 2, 1, 3): the tweaks follow that order, the wide
     // stores' unpacks undo it and the narrow store permutes it back.

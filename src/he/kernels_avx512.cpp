@@ -486,6 +486,10 @@ inline void siphash24_v(const V m[3], V out[K]) {
 
 void cr_hash_batch_avx512(const std::uint8_t* x, std::size_t n, u64 tweak, u64 step,
                           const u64 offset[2], bool wide, std::uint8_t* out) {
+    if (n < 8) {  // no full pass: skip the vector set-up
+        scalar_kernels()->cr_hash_batch(x, n, tweak, step, offset, wide, out);
+        return;
+    }
     // Two-source permutes split 8 (lo, hi) blocks into a lo and a hi
     // register and merge the two hash words back into blocks.
     const V even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
