@@ -305,7 +305,9 @@ TEST(ChosenOt, TransfersSelectedBlocks) {
 }
 
 TEST(OneOfNOt, DeliversChosenByte) {
-    const std::size_t groups = 50;
+    // 100 groups of N = 8 are 300 random OTs: group 85 straddles the
+    // 256-OT hash chunk.
+    for (const std::size_t groups : {50, 100})
     for (const std::size_t options : {2, 4, 8, 16}) {
         OtFixture fx;
         std::vector<std::uint8_t> messages(groups * options);
@@ -326,11 +328,13 @@ TEST(OneOfNOt, DeliversChosenByte) {
                 got = ot_1_of_n_recv(t, ext, indices, options);
             });
         for (std::size_t g = 0; g < groups; ++g)
-            EXPECT_EQ(got[g], messages[g * options + indices[g]]) << "N " << options;
+            EXPECT_EQ(got[g], messages[g * options + indices[g]])
+                << "N " << options << " groups " << groups;
     }
 
     // A pad is one byte of a 16-byte random-OT output, so N <= 16; the
     // check runs before any message is sent.
+    const std::size_t groups = 50;
     OtFixture fx;
     const std::vector<std::uint8_t> messages(groups * 32, 0);
     net::InProcTransport t(fx.channel, 0);
