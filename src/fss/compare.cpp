@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 
 #include "core/error.hpp"
+#include "core/thread_pool.hpp"
 #include "fss/key_pool.hpp"
 #include "net/transport.hpp"
 
@@ -24,56 +26,84 @@ std::uint64_t get_u64(const std::uint8_t* in) {
     return v;
 }
 
-/// Deal server[c] and client[c] for c < m <= kRelusPerTile: draw each
-/// comparison's randomness in gen_relu_material's order, then walk the
-/// tile's 2m trees together.
-void deal_tile(crypto::ChaCha20Prg& prg, ReluKeyShare* server, ReluKeyShare* client,
+/// One comparison's dealer randomness, in gen_relu_material's draw order.
+struct ReluDraw {
+    Ring r = 0;
+    std::array<crypto::Block128, 4> roots;  ///< K_a's root0, root1, then K_b's
+    Ring r_share = 0;                       ///< party 0's shares of r, wrap and wrap * r
+    Ring u_share = 0;
+    Ring v_share = 0;
+};
+
+ReluDraw draw_relu(crypto::ChaCha20Prg& prg) {
+    ReluDraw d;
+    d.r = prg.next_u64();
+    for (crypto::Block128& root : d.roots) root = prg.next_block();
+    d.r_share = prg.next_u64();
+    d.u_share = prg.next_u64();
+    d.v_share = prg.next_u64();
+    return d;
+}
+
+/// Deal server[c] and client[c] for c < m <= kRelusPerTile from draws[c]:
+/// the tile's 2m trees walk together.
+void deal_tile(const ReluDraw* draws, ReluKeyShare* server, ReluKeyShare* client,
                std::size_t m) {
     std::array<DcfGenInput, kDcfTile> in;
     std::array<DcfKey*, kDcfTile> k0{}, k1{};
     for (std::size_t c = 0; c < m; ++c) {
-        const Ring r = prg.next_u64();
+        const ReluDraw& d = draws[c];
         // Interval containment: 1{(z-r) mod 2^64 in [0, 2^63)} equals
         // DCF_{r+2^63}(z) - DCF_r(z) + wrap, case-checked for both wrap
         // values; the payload's second lane carries the same identity
         // multiplied by r.
-        in[2 * c] = {.alpha = r, .beta = {1, r}, .root0 = prg.next_block(),
-                     .root1 = prg.next_block()};
-        in[2 * c + 1] = {.alpha = r + kHalfRing, .beta = {1, r}, .root0 = prg.next_block(),
-                         .root1 = prg.next_block()};
+        in[2 * c] = {.alpha = d.r, .beta = {1, d.r}, .root0 = d.roots[0], .root1 = d.roots[1]};
+        in[2 * c + 1] = {.alpha = d.r + kHalfRing, .beta = {1, d.r}, .root0 = d.roots[2],
+                         .root1 = d.roots[3]};
         k0[2 * c] = &server[c].key_a;
         k1[2 * c] = &client[c].key_a;
         k0[2 * c + 1] = &server[c].key_b;
         k1[2 * c + 1] = &client[c].key_b;
 
-        const bool wrap = r >= kHalfRing;
-        server[c].r_share = prg.next_u64();
-        client[c].r_share = r - server[c].r_share;
-        server[c].u_const = prg.next_u64();
-        client[c].u_const = (wrap ? Ring{1} : Ring{0}) - server[c].u_const;
-        server[c].v_const = prg.next_u64();
-        client[c].v_const = (wrap ? r : Ring{0}) - server[c].v_const;
+        const bool wrap = d.r >= kHalfRing;
+        server[c].r_share = d.r_share;
+        client[c].r_share = d.r - d.r_share;
+        server[c].u_const = d.u_share;
+        client[c].u_const = (wrap ? Ring{1} : Ring{0}) - d.u_share;
+        server[c].v_const = d.v_share;
+        client[c].v_const = (wrap ? d.r : Ring{0}) - d.v_share;
     }
     dcf_gen_batch({in.data(), 2 * m}, {k0.data(), 2 * m}, {k1.data(), 2 * m});
+}
+
+/// fn(base, m) for every tile [base, base + m) of n comparisons, tiles on
+/// `threads` (in order on the calling thread when it is null).
+template <typename Fn>
+void for_each_tile(const core::ThreadPool* threads, std::size_t n, const Fn& fn) {
+    const auto tiles = static_cast<std::int64_t>((n + kRelusPerTile - 1) / kRelusPerTile);
+    core::parallel_for(threads, 0, tiles, [&](std::int64_t t) {
+        const std::size_t base = static_cast<std::size_t>(t) * kRelusPerTile;
+        fn(base, std::min(kRelusPerTile, n - base));
+    });
 }
 
 }  // namespace
 
 ReluKeyPair gen_relu_material(crypto::ChaCha20Prg& prg) {
+    const ReluDraw d = draw_relu(prg);
     ReluKeyPair out;
-    deal_tile(prg, &out.server, &out.client, 1);
+    deal_tile(&d, &out.server, &out.client, 1);
     return out;
 }
 
 void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<const Ring> z,
-                     std::span<Ring> out) {
+                     std::span<Ring> out, const core::ThreadPool* threads) {
     require(z.size() == keys.size() && out.size() == keys.size(),
             "eval_relu_batch: key, point and output spans differ in size");
-    std::array<const DcfKey*, kDcfTile> dcf{};
-    std::array<Ring, kDcfTile> xs{};
-    std::array<DcfPayload, kDcfTile> at{};
-    for (std::size_t base = 0; base < keys.size(); base += kRelusPerTile) {
-        const std::size_t m = std::min(kRelusPerTile, keys.size() - base);
+    for_each_tile(threads, keys.size(), [&](std::size_t base, std::size_t m) {
+        std::array<const DcfKey*, kDcfTile> dcf{};
+        std::array<Ring, kDcfTile> xs{};
+        std::array<DcfPayload, kDcfTile> at{};
         for (std::size_t c = 0; c < m; ++c) {
             dcf[2 * c] = &keys[base + c].key_a;
             dcf[2 * c + 1] = &keys[base + c].key_b;
@@ -87,7 +117,7 @@ void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<co
             const Ring v = d.v + key.v_const;  // share of drelu * r
             out[base + c] = z[base + c] * u - v;  // shares of drelu * (z - r) = ReLU(y)
         }
-    }
+    });
 }
 
 Ring eval_relu(const ReluKeyShare& key, int party, Ring z) {
@@ -119,30 +149,38 @@ ReluKeyShare ReluKeyShare::deserialize(const std::uint8_t* in) {
 // ---------------------------------------------------------------- shipment ---
 
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
-                      std::size_t count) {
+                      std::size_t count, const core::ThreadPool* threads) {
     if (count == 0) return;
+    // Every draw comes first, in comparison order, so the keys do not
+    // depend on which thread deals which tile.
+    std::vector<ReluDraw> draws(count);
+    for (ReluDraw& d : draws) d = draw_relu(prg);
     std::vector<ReluKeyShare> mine(count);
-    std::vector<std::uint8_t> payload(count * ReluKeyShare::kSerializedBytes);
-    std::vector<ReluKeyShare> theirs(std::min(count, kRelusPerTile));  // one tile's client halves
-    for (std::size_t base = 0; base < count; base += kRelusPerTile) {
-        const std::size_t m = std::min(kRelusPerTile, count - base);
-        deal_tile(prg, mine.data() + base, theirs.data(), m);
+    const std::size_t bytes = count * ReluKeyShare::kSerializedBytes;
+    // Not zero-filled: the tiles encode every record.
+    const auto payload = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+    for_each_tile(threads, count, [&](std::size_t base, std::size_t m) {
+        std::vector<ReluKeyShare> theirs(m);  // the tile's client halves
+        deal_tile(draws.data() + base, mine.data() + base, theirs.data(), m);
         for (std::size_t c = 0; c < m; ++c)
-            theirs[c].serialize_into(payload.data() + (base + c) * ReluKeyShare::kSerializedBytes);
-    }
-    transport.send_keys_bytes(payload);
+            theirs[c].serialize_into(payload.get() +
+                                     (base + c) * ReluKeyShare::kSerializedBytes);
+    });
+    transport.send_keys_bytes({payload.get(), bytes});
     pool.push(std::move(mine));
 }
 
-void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count) {
+void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count,
+                      const core::ThreadPool* threads) {
     if (count == 0) return;
     const std::vector<std::uint8_t> payload = transport.recv_keys_bytes();
     require(payload.size() == count * ReluKeyShare::kSerializedBytes,
             "fss key batch: shipped key count does not match the plan-derived schedule");
-    std::vector<ReluKeyShare> keys;
-    keys.reserve(count);
-    for (std::size_t off = 0; off < payload.size(); off += ReluKeyShare::kSerializedBytes)
-        keys.push_back(ReluKeyShare::deserialize(payload.data() + off));
+    std::vector<ReluKeyShare> keys(count);
+    for_each_tile(threads, count, [&](std::size_t base, std::size_t m) {
+        for (std::size_t c = base; c < base + m; ++c)
+            keys[c] = ReluKeyShare::deserialize(payload.data() + c * ReluKeyShare::kSerializedBytes);
+    });
     pool.push(std::move(keys));
 }
 

@@ -28,13 +28,21 @@
 /// both halves, so it knows every mask r and can read y from each
 /// opened z = y + r. Dealing and evaluation run through the DCF's tiled
 /// level-synchronous walk (dcf.hpp): a comparison's two DCFs share its
-/// tile, kDcfTile / 2 comparisons per tile.
+/// tile, kDcfTile / 2 comparisons per tile. Tiles are independent, so
+/// dealing, decoding and evaluation spread them over the session's thread
+/// pool (mpc::PartyContext::threads()); the dealer draws every random
+/// choice before any tile runs, so keys and outputs are the same for
+/// every thread count, and a null pool is the serial schedule.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "fss/dcf.hpp"
+
+namespace c2pi::core {
+class ThreadPool;
+}
 
 namespace c2pi::net {
 class Transport;
@@ -69,16 +77,17 @@ struct ReluKeyPair {
 /// Dealer-side generation of one comparison's material. `prg` supplies
 /// every random choice, drawn in this order: r, K_a's root seeds, K_b's
 /// root seeds, then the shares of r, wrap and wrap * r. dealer_replenish
-/// draws the same stream comparison by comparison, so its keys equal
-/// repeated calls of this function.
+/// draws the same stream comparison by comparison before it deals any
+/// key, so its keys equal repeated calls of this function.
 [[nodiscard]] ReluKeyPair gen_relu_material(crypto::ChaCha20Prg& prg);
 
 /// Local online evaluation of a batch: given this party's key shares and
 /// the reconstructed masked values z[i] = y[i] + r[i], out[i] is this
 /// party's additive share of ReLU(y[i]). K_a and K_b of every element
-/// go through one tiled DCF walk.
+/// go through one tiled DCF walk; the tiles run on `threads` (serially
+/// when null) and write disjoint outputs.
 void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<const Ring> z,
-                     std::span<Ring> out);
+                     std::span<Ring> out, const core::ThreadPool* threads = nullptr);
 
 /// eval_relu_batch for one element.
 [[nodiscard]] Ring eval_relu(const ReluKeyShare& key, int party, Ring z);
@@ -86,19 +95,23 @@ void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<co
 /// Dealer side of the session's preprocessing: generate `count`
 /// comparisons, ship the client halves in one KEYS frame (count records
 /// back to back, serialize_into each), push the server halves into
-/// `pool`. Client halves are encoded straight into the frame payload and
-/// server halves built in place in the batch the pool keeps, so dealing
-/// holds one copy of each half. No-op when count == 0 (no frame on the
-/// wire, so the client must compute the same count and skip its recv
-/// symmetrically).
+/// `pool`. Every comparison's randomness is drawn first, in order; then
+/// the tiles are dealt on `threads` (serially when null). Client halves
+/// are encoded straight into the frame payload, which is never
+/// zero-filled, and server halves built in place in the batch the pool
+/// keeps, so dealing holds one copy of each half. No-op when count == 0
+/// (no frame on the wire, so the client must compute the same count and
+/// skip its recv symmetrically).
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
-                      std::size_t count);
+                      std::size_t count, const core::ThreadPool* threads = nullptr);
 
 /// Client side: receive one KEYS frame and pool the shipped halves,
-/// decoding each record once. Throws c2pi::Error, pooling nothing, unless
-/// the payload is exactly `count` records (the two sides must agree on
-/// the plan-derived schedule); the size is checked before any record is
-/// decoded. No-op when count == 0.
-void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count);
+/// decoding each record once, tile by tile on `threads` (serially when
+/// null). Throws c2pi::Error, pooling nothing, unless the payload is
+/// exactly `count` records (the two sides must agree on the plan-derived
+/// schedule); the size is checked before any record is decoded. No-op
+/// when count == 0.
+void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t count,
+                      const core::ThreadPool* threads = nullptr);
 
 }  // namespace c2pi::fss

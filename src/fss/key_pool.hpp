@@ -7,7 +7,9 @@
 /// batch (pi::count_fss_comparisons, before the layer walk); the online
 /// nonlinear layers take from it in dealing order. Both parties take the
 /// same counts in the same order, so the dealer never has to signal
-/// "which key is next". Only the session's protocol thread touches a
+/// "which key is next". The batch is built before push (the dealer's
+/// and the client decoder's tiles may fill it on the model's thread
+/// pool); after that only the session's protocol thread touches a
 /// party's pool, so it takes no lock.
 
 #include <span>

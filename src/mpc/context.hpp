@@ -59,6 +59,9 @@ public:
     [[nodiscard]] net::Transport& transport() { return *transport_; }
     [[nodiscard]] const FixedPointFormat& fmt() const { return fmt_; }
     [[nodiscard]] const he::BfvContext& bfv() const { return *bfv_; }
+    /// The model's compute pool (the BFV context's), shared by the HE and
+    /// FSS loops; null runs them serially.
+    [[nodiscard]] const core::ThreadPool* threads() const { return bfv_->thread_pool(); }
     [[nodiscard]] crypto::ChaCha20Prg& prg() { return prg_; }
 
     /// Dedicated stream for randomness that determines SHARE VALUES:

@@ -140,7 +140,7 @@ std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_shar
 
 /// FSS backend: take this layer's keys from the session's dealt batch,
 /// reconstruct the masked values in one round, then evaluate the layer's
-/// DCFs locally as one tiled batch.
+/// DCFs locally as one tiled batch on the model's pool.
 std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
     const std::span<const fss::ReluKeyShare> keys = ctx.fss_pool().take(n);
@@ -148,7 +148,7 @@ std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_sha
     for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + keys[i].r_share;
     const auto z = reveal_shares(ctx, masked);
     std::vector<Ring> out(n);
-    fss::eval_relu_batch(keys, ctx.party(), z, out);
+    fss::eval_relu_batch(keys, ctx.party(), z, out, ctx.threads());
     return out;
 }
 

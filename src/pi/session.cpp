@@ -226,7 +226,7 @@ void ServerSession::run(net::Transport& transport) const {
     // one reconstruction round + local evals per layer.
     if (nonlinear == mpc::NonlinearBackend::kFss)
         fss::dealer_replenish(transport, ctx.prg(), ctx.fss_pool(),
-                              count_fss_comparisons(cm.plan()));
+                              count_fss_comparisons(cm.plan()), ctx.threads());
 
     std::vector<Ring> share(static_cast<std::size_t>(shape_numel(cm.input_shape())), 0);
     const PartyRun runner{cm.plan(), cm.layer_caches(), config_.backend, cm.fmt(), nonlinear};
@@ -284,7 +284,8 @@ Tensor ClientSession::run(net::Transport& transport, const Tensor& input) const 
 
     // FSS preprocessing: receive the dealer's plan-sized key shipment.
     if (nonlinear == mpc::NonlinearBackend::kFss)
-        fss::client_replenish(transport, ctx.fss_pool(), count_fss_comparisons(art.plan));
+        fss::client_replenish(transport, ctx.fss_pool(), count_fss_comparisons(art.plan),
+                              ctx.threads());
 
     std::vector<Ring> share(static_cast<std::size_t>(input.numel()));
     for (std::size_t i = 0; i < share.size(); ++i)

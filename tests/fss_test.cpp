@@ -1,9 +1,10 @@
 // Unit and integration tests for the FSS comparison subsystem
 // (src/fss/): the DCF primitive against a plaintext comparison oracle
 // (single keys and ragged tiled batches), the interval-containment ReLU
-// material, the dealt key bytes against pinned digests, the key record
-// codec, the client's schedule check and the one-batch key pool, and the
-// kFss backend at the session layer — cross-backend logit parity
+// material, the dealt key bytes against pinned digests (serial and on a
+// thread pool), pooled decoding and evaluation against serial, the key
+// record codec, the client's schedule check and the one-batch key pool,
+// and the kFss backend at the session layer — cross-backend logit parity
 // (bit-identical vs GC and OT), the preprocessing traffic bucket, and
 // the typed NonlinearMismatch negotiation error. The
 // secure_relu/secure_maxpool protocol-level coverage lives in
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
 #include "fss/compare.hpp"
@@ -245,6 +247,76 @@ TEST(FssRelu, DealtKeysMatchPinnedDigests) {
               "610887b1461dd7f0191fa698e011486e4b4820badc470fba23f0839dfd188104");
     EXPECT_EQ(sha256_hex(server_halves),
               "83cf2a5c2b429e582aefe97cd2145281766ae1877e8cac8ef9dd11fa5f3e1dc1");
+}
+
+/// DealtKeysMatchPinnedDigests dealt on a four-thread pool: the tiles run
+/// on any thread in any order, and both halves must still match the
+/// serial dealer's pinned digests.
+TEST(FssRelu, PooledDealingMatchesPinnedDigests) {
+    constexpr std::size_t kCount = 257;
+    const core::ThreadPool threads(4);
+    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> server_halves;
+    net::DuplexChannel channel;
+    (void)net::run_two_party(
+        channel,
+        [&](net::Transport& t) {
+            crypto::ChaCha20Prg prg(crypto::Block128{0x601D'E11, 0x257}, 18);
+            KeyPool pool;
+            dealer_replenish(t, prg, pool, kCount, &threads);
+            server_halves = encode_records(pool.take(kCount));
+        },
+        [&](net::Transport& t) { payload = t.recv_keys_bytes(); });
+    ASSERT_EQ(payload.size(), kCount * ReluKeyShare::kSerializedBytes);
+    EXPECT_EQ(sha256_hex(payload),
+              "610887b1461dd7f0191fa698e011486e4b4820badc470fba23f0839dfd188104");
+    EXPECT_EQ(sha256_hex(server_halves),
+              "83cf2a5c2b429e582aefe97cd2145281766ae1877e8cac8ef9dd11fa5f3e1dc1");
+}
+
+/// The client's pooled decode and both parties' pooled evaluation equal
+/// the serial ones, on sizes below, at and just past one 32-comparison
+/// tile and on a ragged many-tile batch.
+TEST(FssRelu, PooledEvaluationAndDecodeMatchSerial) {
+    const core::ThreadPool threads(4);
+    for (const std::size_t n : {1UL, 31UL, 32UL, 33UL, 1000UL}) {
+        crypto::ChaCha20Prg prg(crypto::Block128{0x9001ED, n}, 19);
+        std::vector<ReluKeyShare> server(n), client(n);
+        std::vector<Ring> ys(n), z(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const ReluKeyPair pair = gen_relu_material(prg);
+            server[i] = pair.server;
+            client[i] = pair.client;
+            ys[i] = prg.next_u64();
+            z[i] = ys[i] + pair.server.r_share + pair.client.r_share;
+        }
+
+        const std::vector<std::uint8_t> shipped = encode_records(client);
+        const auto decode = [&](const core::ThreadPool* pool_threads) {
+            KeyPool pool;
+            net::DuplexChannel channel;
+            (void)net::run_two_party(
+                channel, [&](net::Transport& t) { t.send_keys_bytes(shipped); },
+                [&](net::Transport& t) { client_replenish(t, pool, n, pool_threads); });
+            return encode_records(pool.take(n));
+        };
+        const std::vector<std::uint8_t> serial_decoded = decode(nullptr);
+        EXPECT_EQ(serial_decoded, shipped) << "n=" << n;
+        EXPECT_EQ(decode(&threads), serial_decoded) << "n=" << n;
+
+        for (const int party : {0, 1}) {
+            const std::vector<ReluKeyShare>& keys = party == 0 ? server : client;
+            std::vector<Ring> serial(n), pooled(n);
+            eval_relu_batch(keys, party, z, serial);
+            eval_relu_batch(keys, party, z, pooled, &threads);
+            EXPECT_EQ(pooled, serial) << "n=" << n << " party=" << party;
+        }
+        std::vector<Ring> out0(n), out1(n);
+        eval_relu_batch(server, 0, z, out0, &threads);
+        eval_relu_batch(client, 1, z, out1, &threads);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out0[i] + out1[i], ys[i] < kMid ? ys[i] : 0) << "n=" << n << " i=" << i;
+    }
 }
 
 TEST(FssRelu, BatchedEvaluationMatchesReluOnRaggedSizes) {
