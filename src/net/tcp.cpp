@@ -89,6 +89,15 @@ void put_u32le(std::uint8_t* p, std::uint32_t v) {
     p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+/// The 8-byte frame header (docs/PROTOCOL.md §2) of a payload_size-byte frame.
+void frame_header(std::uint8_t* header, FrameType type, Phase phase, std::size_t payload_size) {
+    require(payload_size <= kMaxFramePayload, "tcp send: frame payload too large");
+    put_u32le(header, static_cast<std::uint32_t>(payload_size));
+    header[4] = static_cast<std::uint8_t>(type);
+    header[5] = static_cast<std::uint8_t>(phase);
+    header[6] = header[7] = 0;
+}
+
 std::uint32_t get_u32le(const std::uint8_t* p) {
     return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
            static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
@@ -164,25 +173,26 @@ TcpTransport::~TcpTransport() { close(); }
 
 void TcpTransport::send_frame(FrameType type, Phase phase,
                               std::span<const std::uint8_t> payload) {
-    require(payload.size() <= kMaxFramePayload, "tcp send: frame payload too large");
-    std::uint8_t header[kFrameHeaderSize];
-    put_u32le(header, static_cast<std::uint32_t>(payload.size()));
-    header[4] = static_cast<std::uint8_t>(type);
-    header[5] = static_cast<std::uint8_t>(phase);
-    header[6] = header[7] = 0;
-    if (pipelined_) {
-        // Pipelined path: copy header+payload into one contiguous frame
-        // and hand it to the writer thread. The copy frees the caller's
-        // buffer (protocols reuse a per-session scratch) immediately;
-        // frame ORDER is the queue order, so the wire transcript is
-        // byte-identical to the synchronous path.
-        std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
-        std::memcpy(frame.data(), header, kFrameHeaderSize);
-        if (!payload.empty())
-            std::memcpy(frame.data() + kFrameHeaderSize, payload.data(), payload.size());
-        enqueue_frame(std::move(frame), phase);
+    if (!pipelined_) {
+        write_frame(type, phase, payload);
         return;
     }
+    // Pipelined path: copy header+payload into one contiguous frame and
+    // hand it to the writer thread. The copy frees the caller's buffer
+    // (protocols reuse a per-session scratch) immediately; frame ORDER is
+    // the queue order, so the wire transcript is byte-identical to the
+    // synchronous path.
+    std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
+    frame_header(frame.data(), type, phase, payload.size());
+    if (!payload.empty())
+        std::memcpy(frame.data() + kFrameHeaderSize, payload.data(), payload.size());
+    enqueue_frame(std::move(frame), phase);
+}
+
+void TcpTransport::write_frame(FrameType type, Phase phase,
+                               std::span<const std::uint8_t> payload) {
+    std::uint8_t header[kFrameHeaderSize];
+    frame_header(header, type, phase, payload.size());
     // Gathered write: header and payload go out in one sendmsg (sharing a
     // TCP segment when they fit) without copying the payload — the HE
     // ciphertext messages are multiple megabytes. Partial writes resume
@@ -334,7 +344,11 @@ std::vector<std::uint8_t> TcpTransport::recv_artifact_bytes() {
 
 void TcpTransport::send_keys_bytes(std::span<const std::uint8_t> bytes) {
     require(is_open(), "tcp send: transport is closed");
-    send_frame(FrameType::kKeys, Phase::kPreprocess, bytes);
+    // A key batch is tens of MiB: rather than copy it into a pipelined
+    // frame, let the writer drain every queued frame, then write this one
+    // from the caller's buffer. Frame order is the call order either way.
+    flush_sends();
+    write_frame(FrameType::kKeys, Phase::kPreprocess, bytes);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.record(party_, Phase::kPreprocess, bytes.size());
 }

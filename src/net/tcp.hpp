@@ -110,7 +110,10 @@ public:
     /// Preprocessing key batches travel in kKeys frames: metered like
     /// DATA (a real deployment pays for key shipment) but always under
     /// Phase::kPreprocess, whatever phase the transport is in
-    /// (docs/PROTOCOL.md §4).
+    /// (docs/PROTOCOL.md §4). The frame is always written synchronously
+    /// from the caller's buffer: with pipelining on, the writer queue is
+    /// drained first (flush_sends), so no copy of the batch is made and
+    /// frame order is unchanged.
     void send_keys_bytes(std::span<const std::uint8_t> bytes) override;
     [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override;
 
@@ -152,7 +155,11 @@ public:
     [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
 private:
+    /// Send one frame: queued for the writer when pipelined, else written.
     void send_frame(FrameType type, Phase phase, std::span<const std::uint8_t> payload);
+    /// Write one frame on the calling thread (header and payload in one
+    /// gathered sendmsg). With pipelining on, only after flush_sends.
+    void write_frame(FrameType type, Phase phase, std::span<const std::uint8_t> payload);
     /// Read the next frame into `out`, requiring its type to be
     /// `expected`; returns the sender's phase tag. Shutdown frames and
     /// malformed headers raise typed errors for both callers.

@@ -243,6 +243,62 @@ TEST(PipelineTransport, TcpWriterThreadPreservesFrameSequenceAndStats) {
     EXPECT_GE(piped_waits.total_seconds(), 0.0);
 }
 
+TEST(PipelineTransport, KeysFrameAfterQueuedDataKeepsOrderAndStats) {
+    // DATA frames, a 2 MiB KEYS frame, then more DATA, over a synchronous
+    // and a pipelined connection. The pipelined KEYS frame is written on
+    // the protocol thread after the writer drains its queue; the receiver
+    // reads late, so DATA frames are still queued when it is sent. Every
+    // frame must arrive in send order (a KEYS frame overtaking DATA fails
+    // the typed recv) and both ends' accounting must match.
+    const auto run_one = [](bool pipelined) {
+        net::TcpListener listener(/*port=*/0);
+        std::vector<std::vector<std::uint8_t>> received;
+        net::ChannelStats receiver_stats;
+        std::thread server_thread([&] {
+            auto t = listener.accept(/*timeout_ms=*/10'000);
+            t->set_recv_timeout(10'000);
+            std::this_thread::sleep_for(50ms);
+            for (int i = 0; i < 3; ++i) received.push_back(t->recv_bytes());
+            received.push_back(t->recv_keys_bytes());
+            for (int i = 0; i < 2; ++i) received.push_back(t->recv_bytes());
+            t->send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
+            receiver_stats = t->stats();
+            t->close();
+        });
+        auto t = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000);
+        t->set_recv_timeout(10'000);
+        t->set_pipelined_sends(pipelined);
+        Rng rng(23);
+        const auto random_bytes = [&](std::size_t size) {
+            std::vector<std::uint8_t> msg(size);
+            for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+            return msg;
+        };
+        t->set_phase(net::Phase::kOffline);
+        for (int i = 0; i < 3; ++i)
+            t->send_bytes(random_bytes(static_cast<std::size_t>(256 * 1024 + 1000 * i)));
+        t->send_keys_bytes(random_bytes(std::size_t{2} << 20));
+        t->set_phase(net::Phase::kOnline);
+        for (int i = 0; i < 2; ++i) t->send_bytes(random_bytes(static_cast<std::size_t>(64 + i)));
+        t->flush_sends();
+        (void)t->recv_bytes();
+        const auto sender_stats = t->stats();
+        t->close();
+        server_thread.join();
+        return std::make_tuple(std::move(received), sender_stats, receiver_stats);
+    };
+
+    const auto [sync_frames, sync_sender, sync_receiver] = run_one(false);
+    const auto [piped_frames, piped_sender, piped_receiver] = run_one(true);
+    ASSERT_EQ(sync_frames.size(), 6U);
+    ASSERT_EQ(piped_frames.size(), sync_frames.size());
+    for (std::size_t i = 0; i < sync_frames.size(); ++i)
+        EXPECT_EQ(piped_frames[i], sync_frames[i]) << "frame " << i << " diverged";
+    EXPECT_EQ(piped_sender, sync_sender) << "sender's per-phase accounting diverged";
+    EXPECT_EQ(piped_receiver, sync_receiver) << "receiver's per-phase accounting diverged";
+    EXPECT_EQ(sync_sender.phase_bytes(net::Phase::kPreprocess), std::uint64_t{2} << 20);
+}
+
 TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
     net::DuplexChannel channel;
     net::InProcTransport a(channel, 0);
@@ -264,12 +320,13 @@ TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
     EXPECT_EQ(a.wait_stats().total_seconds(), 0.0);
 }
 
-TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
+/// A pipelined session of `config` over loopback TCP against the
+/// synchronous in-process run: identical logits and per-phase stats.
+void expect_pipelined_tcp_matches_inproc(pi::SessionConfig config) {
     const nn::Sequential model = tiny_model();
     auto opts = tiny_options(/*full_pi=*/false);
     opts.num_threads = 3;
     const pi::CompiledModel compiled(model, opts);
-    pi::SessionConfig config{.seed = 41};
     const Tensor input = tiny_input();
 
     config.pipeline = false;
@@ -308,6 +365,18 @@ TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
     EXPECT_EQ(client_stats.offline_flights, reference.stats.offline_flights);
     EXPECT_EQ(client_stats.online_flights, reference.stats.online_flights);
     EXPECT_EQ(client_stats.preprocess_flights, reference.stats.preprocess_flights);
+}
+
+TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
+    expect_pipelined_tcp_matches_inproc(pi::SessionConfig{.seed = 41});
+}
+
+/// The FSS twin: the session's KEYS frame goes out after the pipelined
+/// writer drains, and must land exactly where the in-process run put it.
+TEST(PipelineParity, PipelinedTcpFssSessionMatchesSynchronousInProc) {
+    pi::SessionConfig config{.seed = 41};
+    config.nonlinear = mpc::NonlinearBackend::kFss;
+    expect_pipelined_tcp_matches_inproc(config);
 }
 
 // ---------------------------------------------------- chaos containment ---
