@@ -40,6 +40,14 @@ inline V load(const u64* p) { return _mm512_loadu_si512(p); }
 inline void store(u64* p, V x) { _mm512_storeu_si512(p, x); }
 inline V bcast(u64 x) { return _mm512_set1_epi64(static_cast<long long>(x)); }
 
+// GCC 12 builds the unmasked forms of several AVX-512 intrinsics (shifts,
+// 32x32 multiplies, rotates, permutes, unpacks, lane shuffles) with an
+// undefined pass-through register, which -Wall reports as maybe
+// uninitialized at every inlined use. This TU calls their full-mask maskz
+// forms instead: the same instructions, with no pass-through.
+constexpr __mmask8 kAll8 = 0xFF;       ///< every u64 lane
+constexpr __mmask16 kAll16 = 0xFFFF;   ///< every u32 lane
+
 /// a >= bound ? a - bound : a (unsigned lanes).
 inline V csub_u64(V a, V bound) {
     const __mmask8 ge = _mm512_cmpge_epu64_mask(a, bound);
@@ -58,17 +66,18 @@ const V kLo32 = _mm512_set1_epi64(0xFFFFFFFFLL);
 
 /// High 64 bits of a * b (schoolbook over 32-bit halves).
 inline V mulhi_u64(V a, V b) {
-    const V a_hi = _mm512_srli_epi64(a, 32);
-    const V b_hi = _mm512_srli_epi64(b, 32);
-    const V ll = _mm512_mul_epu32(a, b);
-    const V lh = _mm512_mul_epu32(a, b_hi);
-    const V hl = _mm512_mul_epu32(a_hi, b);
-    const V hh = _mm512_mul_epu32(a_hi, b_hi);
+    const V a_hi = _mm512_maskz_srli_epi64(kAll8, a, 32);
+    const V b_hi = _mm512_maskz_srli_epi64(kAll8, b, 32);
+    const V ll = _mm512_maskz_mul_epu32(kAll8, a, b);
+    const V lh = _mm512_maskz_mul_epu32(kAll8, a, b_hi);
+    const V hl = _mm512_maskz_mul_epu32(kAll8, a_hi, b);
+    const V hh = _mm512_maskz_mul_epu32(kAll8, a_hi, b_hi);
     const V cross = _mm512_add_epi64(_mm512_and_si512(lh, kLo32), _mm512_and_si512(hl, kLo32));
-    const V carry = _mm512_srli_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), cross), 32);
+    const V carry = _mm512_maskz_srli_epi64(
+        kAll8, _mm512_add_epi64(_mm512_maskz_srli_epi64(kAll8, ll, 32), cross), 32);
     return _mm512_add_epi64(_mm512_add_epi64(hh, carry),
-                            _mm512_add_epi64(_mm512_srli_epi64(lh, 32),
-                                             _mm512_srli_epi64(hl, 32)));
+                            _mm512_add_epi64(_mm512_maskz_srli_epi64(kAll8, lh, 32),
+                                             _mm512_maskz_srli_epi64(kAll8, hl, 32)));
 }
 
 /// Lazy Shoup product in [0, 2p).
@@ -154,8 +163,8 @@ void ntt_forward_avx512(u64* a, std::size_t n, const u64* psi_rev,
         const V x1 = load(a + j + 8);
         V u = _mm512_permutex2var_epi64(x0, kIdxA4, x1);
         V x = _mm512_permutex2var_epi64(x0, kIdxB4, x1);
-        const V s = _mm512_permutexvar_epi64(kTw4, load(psi_rev + m + i));
-        const V ss = _mm512_permutexvar_epi64(kTw4, load(psi_rev_shoup + m + i));
+        const V s = _mm512_maskz_permutexvar_epi64(kAll8, kTw4, load(psi_rev + m + i));
+        const V ss = _mm512_maskz_permutexvar_epi64(kAll8, kTw4, load(psi_rev_shoup + m + i));
         fwd_butterfly(u, x, s, ss, vp, v2p);
         store(a + j, _mm512_permutex2var_epi64(u, kIdxA4, x));
         store(a + j + 8, _mm512_permutex2var_epi64(u, kIdxB4, x));
@@ -169,8 +178,8 @@ void ntt_forward_avx512(u64* a, std::size_t n, const u64* psi_rev,
         const V x1 = load(a + j + 8);
         V u = _mm512_permutex2var_epi64(x0, kIdxA2, x1);
         V x = _mm512_permutex2var_epi64(x0, kIdxB2, x1);
-        const V s = _mm512_permutexvar_epi64(kTw2, load(psi_rev + m + i));
-        const V ss = _mm512_permutexvar_epi64(kTw2, load(psi_rev_shoup + m + i));
+        const V s = _mm512_maskz_permutexvar_epi64(kAll8, kTw2, load(psi_rev + m + i));
+        const V ss = _mm512_maskz_permutexvar_epi64(kAll8, kTw2, load(psi_rev_shoup + m + i));
         fwd_butterfly(u, x, s, ss, vp, v2p);
         store(a + j, _mm512_permutex2var_epi64(u, kIdxL2, x));
         store(a + j + 8, _mm512_permutex2var_epi64(u, kIdxH2, x));
@@ -232,8 +241,8 @@ void ntt_inverse_avx512(u64* a, std::size_t n, const u64* ipsi_rev,
             const V x1 = load(a + j + 8);
             V u = _mm512_permutex2var_epi64(x0, kIdxA2, x1);
             V v = _mm512_permutex2var_epi64(x0, kIdxB2, x1);
-            const V s = _mm512_permutexvar_epi64(kTw2, load(ipsi_rev + h + i));
-            const V ss = _mm512_permutexvar_epi64(kTw2, load(ipsi_rev_shoup + h + i));
+            const V s = _mm512_maskz_permutexvar_epi64(kAll8, kTw2, load(ipsi_rev + h + i));
+            const V ss = _mm512_maskz_permutexvar_epi64(kAll8, kTw2, load(ipsi_rev_shoup + h + i));
             inv_butterfly(u, v, s, ss, vp, v2p);
             store(a + j, _mm512_permutex2var_epi64(u, kIdxL2, v));
             store(a + j + 8, _mm512_permutex2var_epi64(u, kIdxH2, v));
@@ -249,8 +258,8 @@ void ntt_inverse_avx512(u64* a, std::size_t n, const u64* ipsi_rev,
             const V x1 = load(a + j + 8);
             V u = _mm512_permutex2var_epi64(x0, kIdxA4, x1);
             V v = _mm512_permutex2var_epi64(x0, kIdxB4, x1);
-            const V s = _mm512_permutexvar_epi64(kTw4, load(ipsi_rev + h + i));
-            const V ss = _mm512_permutexvar_epi64(kTw4, load(ipsi_rev_shoup + h + i));
+            const V s = _mm512_maskz_permutexvar_epi64(kAll8, kTw4, load(ipsi_rev + h + i));
+            const V ss = _mm512_maskz_permutexvar_epi64(kAll8, kTw4, load(ipsi_rev_shoup + h + i));
             inv_butterfly(u, v, s, ss, vp, v2p);
             store(a + j, _mm512_permutex2var_epi64(u, kIdxA4, v));
             store(a + j + 8, _mm512_permutex2var_epi64(u, kIdxB4, v));
@@ -357,26 +366,26 @@ using Z = __m512i;  // 16 x u32 lanes = 16 seeds, one state word per register
 
 inline void quarter_round_z(Z& a, Z& b, Z& c, Z& d) {
     a = _mm512_add_epi32(a, b);
-    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+    d = _mm512_maskz_rol_epi32(kAll16, _mm512_xor_si512(d, a), 16);
     c = _mm512_add_epi32(c, d);
-    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+    b = _mm512_maskz_rol_epi32(kAll16, _mm512_xor_si512(b, c), 12);
     a = _mm512_add_epi32(a, b);
-    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+    d = _mm512_maskz_rol_epi32(kAll16, _mm512_xor_si512(d, a), 8);
     c = _mm512_add_epi32(c, d);
-    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+    b = _mm512_maskz_rol_epi32(kAll16, _mm512_xor_si512(b, c), 7);
 }
 
 /// 4x4 u32 transpose inside every 128-bit lane across r[0..3]: lane L,
 /// dword j of r[w] becomes lane L, dword w of r[j].
 inline void transpose_4x4_in_lanes(Z r[4]) {
-    const Z t0 = _mm512_unpacklo_epi32(r[0], r[1]);
-    const Z t1 = _mm512_unpackhi_epi32(r[0], r[1]);
-    const Z t2 = _mm512_unpacklo_epi32(r[2], r[3]);
-    const Z t3 = _mm512_unpackhi_epi32(r[2], r[3]);
-    r[0] = _mm512_unpacklo_epi64(t0, t2);
-    r[1] = _mm512_unpackhi_epi64(t0, t2);
-    r[2] = _mm512_unpacklo_epi64(t1, t3);
-    r[3] = _mm512_unpackhi_epi64(t1, t3);
+    const Z t0 = _mm512_maskz_unpacklo_epi32(kAll16, r[0], r[1]);
+    const Z t1 = _mm512_maskz_unpackhi_epi32(kAll16, r[0], r[1]);
+    const Z t2 = _mm512_maskz_unpacklo_epi32(kAll16, r[2], r[3]);
+    const Z t3 = _mm512_maskz_unpackhi_epi32(kAll16, r[2], r[3]);
+    r[0] = _mm512_maskz_unpacklo_epi64(kAll8, t0, t2);
+    r[1] = _mm512_maskz_unpackhi_epi64(kAll8, t0, t2);
+    r[2] = _mm512_maskz_unpacklo_epi64(kAll8, t1, t3);
+    r[3] = _mm512_maskz_unpackhi_epi64(kAll8, t1, t3);
 }
 
 void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t nonce,
@@ -398,7 +407,7 @@ void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t non
         for (int j = 0; j < 4; ++j) key[j] = _mm512_loadu_si512(seeds + 2 * i + 8 * j);
         transpose_4x4_in_lanes(key);
         for (int w = 0; w < 4; ++w) {
-            init[4 + w] = _mm512_permutexvar_epi32(to_seed_order, key[w]);
+            init[4 + w] = _mm512_maskz_permutexvar_epi32(kAll16, to_seed_order, key[w]);
             init[8 + w] = init[4 + w];  // key = seed || seed
         }
 
@@ -422,14 +431,18 @@ void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t non
         for (int g = 0; g < 4; ++g) transpose_4x4_in_lanes(x + 4 * g);
         std::uint8_t* dst = out + 64 * i;
         for (int j = 0; j < 4; ++j) {
-            const Z p0 = _mm512_shuffle_i32x4(x[j], x[4 + j], 0x44);       // A0 A1 B0 B1
-            const Z p1 = _mm512_shuffle_i32x4(x[j], x[4 + j], 0xEE);       // A2 A3 B2 B3
-            const Z p2 = _mm512_shuffle_i32x4(x[8 + j], x[12 + j], 0x44);  // C0 C1 D0 D1
-            const Z p3 = _mm512_shuffle_i32x4(x[8 + j], x[12 + j], 0xEE);  // C2 C3 D2 D3
-            _mm512_storeu_si512(dst + 64 * j, _mm512_shuffle_i32x4(p0, p2, 0x88));
-            _mm512_storeu_si512(dst + 64 * (4 + j), _mm512_shuffle_i32x4(p0, p2, 0xDD));
-            _mm512_storeu_si512(dst + 64 * (8 + j), _mm512_shuffle_i32x4(p1, p3, 0x88));
-            _mm512_storeu_si512(dst + 64 * (12 + j), _mm512_shuffle_i32x4(p1, p3, 0xDD));
+            // p0 = A0 A1 B0 B1, p1 = A2 A3 B2 B3, p2 = C0 C1 D0 D1, p3 = C2 C3 D2 D3.
+            const Z p0 = _mm512_maskz_shuffle_i32x4(kAll16, x[j], x[4 + j], 0x44);
+            const Z p1 = _mm512_maskz_shuffle_i32x4(kAll16, x[j], x[4 + j], 0xEE);
+            const Z p2 = _mm512_maskz_shuffle_i32x4(kAll16, x[8 + j], x[12 + j], 0x44);
+            const Z p3 = _mm512_maskz_shuffle_i32x4(kAll16, x[8 + j], x[12 + j], 0xEE);
+            _mm512_storeu_si512(dst + 64 * j, _mm512_maskz_shuffle_i32x4(kAll16, p0, p2, 0x88));
+            _mm512_storeu_si512(dst + 64 * (4 + j),
+                                _mm512_maskz_shuffle_i32x4(kAll16, p0, p2, 0xDD));
+            _mm512_storeu_si512(dst + 64 * (8 + j),
+                                _mm512_maskz_shuffle_i32x4(kAll16, p1, p3, 0x88));
+            _mm512_storeu_si512(dst + 64 * (12 + j),
+                                _mm512_maskz_shuffle_i32x4(kAll16, p1, p3, 0xDD));
         }
     }
     if (i < n) scalar_kernels()->chacha20_seeded_blocks(seeds + 2 * i, nonce, out + 64 * i, n - i);
@@ -437,13 +450,10 @@ void chacha20_seeded_blocks_avx512(const std::uint64_t* seeds, std::uint64_t non
 
 // ------------------------------------------------------------- cr_hash ---
 
-// The cr_hash code below avoids the intrinsics that GCC 12 builds with an
-// undefined pass-through register (unmasked vprolq, the unpacks), which
-// warn under -Wall: vprolq goes through the full-mask maskz form, the
-// same instruction, and blocks are split and merged by vpermt2q.
+// Blocks are split and merged by vpermt2q, which needs no unpacks.
 template <int R>
 inline V rotl64_v(V x) {
-    return _mm512_maskz_rol_epi64(0xFF, x, R);
+    return _mm512_maskz_rol_epi64(kAll8, x, R);
 }
 
 inline void sip_round_v(V& v0, V& v1, V& v2, V& v3) {
