@@ -177,13 +177,15 @@ void TcpTransport::send_frame(FrameType type, Phase phase,
         write_frame(type, phase, payload);
         return;
     }
+    std::uint8_t header[kFrameHeaderSize];
+    frame_header(header, type, phase, payload.size());
     // Pipelined path: copy header+payload into one contiguous frame and
     // hand it to the writer thread. The copy frees the caller's buffer
     // (protocols reuse a per-session scratch) immediately; frame ORDER is
     // the queue order, so the wire transcript is byte-identical to the
     // synchronous path.
     std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
-    frame_header(frame.data(), type, phase, payload.size());
+    std::memcpy(frame.data(), header, kFrameHeaderSize);
     if (!payload.empty())
         std::memcpy(frame.data() + kFrameHeaderSize, payload.data(), payload.size());
     enqueue_frame(std::move(frame), phase);

@@ -244,53 +244,72 @@ TEST(PipelineTransport, TcpWriterThreadPreservesFrameSequenceAndStats) {
 }
 
 TEST(PipelineTransport, KeysFrameAfterQueuedDataKeepsOrderAndStats) {
-    // DATA frames, a 2 MiB KEYS frame, then more DATA, over a synchronous
-    // and a pipelined connection. The pipelined KEYS frame is written on
-    // the protocol thread after the writer drains its queue; the receiver
-    // reads late, so DATA frames are still queued when it is sent. Every
-    // frame must arrive in send order (a KEYS frame overtaking DATA fails
-    // the typed recv) and both ends' accounting must match.
-    const auto run_one = [](bool pipelined) {
+    // Three DATA frames, a 2 MiB KEYS frame, then two more DATA frames,
+    // over a synchronous and a pipelined connection. The pipelined KEYS
+    // frame is written on the protocol thread once the writer has drained
+    // its queue. The messages are made before the first send and the
+    // receiver starts reading 200 ms late, while the first three frames
+    // (9 MiB) exceed loopback's 4 MiB send buffer, so DATA frames are
+    // still queued when the KEYS frame is sent. Every frame must arrive
+    // whole and in send order (a KEYS frame that overtakes or interleaves
+    // with DATA fails the typed recv) and both ends' accounting must match.
+    Rng rng(23);
+    const auto random_bytes = [&](std::size_t size) {
+        std::vector<std::uint8_t> msg(size);
+        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+        return msg;
+    };
+    std::vector<std::vector<std::uint8_t>> sent;
+    for (int i = 0; i < 3; ++i)
+        sent.push_back(random_bytes((std::size_t{3} << 20) + static_cast<std::size_t>(1000 * i)));
+    sent.push_back(random_bytes(std::size_t{2} << 20));  // the KEYS frame
+    for (int i = 0; i < 2; ++i) sent.push_back(random_bytes(static_cast<std::size_t>(64 + i)));
+
+    const auto run_one = [&](bool pipelined) {
         net::TcpListener listener(/*port=*/0);
         std::vector<std::vector<std::uint8_t>> received;
-        net::ChannelStats receiver_stats;
+        net::ChannelStats sender_stats, receiver_stats;
+        std::exception_ptr server_error, client_error;
         std::thread server_thread([&] {
-            auto t = listener.accept(/*timeout_ms=*/10'000);
-            t->set_recv_timeout(10'000);
-            std::this_thread::sleep_for(50ms);
-            for (int i = 0; i < 3; ++i) received.push_back(t->recv_bytes());
-            received.push_back(t->recv_keys_bytes());
-            for (int i = 0; i < 2; ++i) received.push_back(t->recv_bytes());
-            t->send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
-            receiver_stats = t->stats();
-            t->close();
+            try {
+                auto t = listener.accept(/*timeout_ms=*/10'000);
+                t->set_recv_timeout(10'000);
+                std::this_thread::sleep_for(200ms);
+                for (int i = 0; i < 3; ++i) received.push_back(t->recv_bytes());
+                received.push_back(t->recv_keys_bytes());
+                for (int i = 0; i < 2; ++i) received.push_back(t->recv_bytes());
+                t->send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
+                receiver_stats = t->stats();
+                t->close();
+            } catch (...) {
+                server_error = std::current_exception();
+            }
         });
-        auto t = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000);
-        t->set_recv_timeout(10'000);
-        t->set_pipelined_sends(pipelined);
-        Rng rng(23);
-        const auto random_bytes = [&](std::size_t size) {
-            std::vector<std::uint8_t> msg(size);
-            for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
-            return msg;
-        };
-        t->set_phase(net::Phase::kOffline);
-        for (int i = 0; i < 3; ++i)
-            t->send_bytes(random_bytes(static_cast<std::size_t>(256 * 1024 + 1000 * i)));
-        t->send_keys_bytes(random_bytes(std::size_t{2} << 20));
-        t->set_phase(net::Phase::kOnline);
-        for (int i = 0; i < 2; ++i) t->send_bytes(random_bytes(static_cast<std::size_t>(64 + i)));
-        t->flush_sends();
-        (void)t->recv_bytes();
-        const auto sender_stats = t->stats();
-        t->close();
+        try {
+            auto t = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000);
+            t->set_recv_timeout(10'000);
+            t->set_pipelined_sends(pipelined);
+            t->set_phase(net::Phase::kOffline);
+            for (int i = 0; i < 3; ++i) t->send_bytes(sent[static_cast<std::size_t>(i)]);
+            t->send_keys_bytes(sent[3]);
+            t->set_phase(net::Phase::kOnline);
+            for (std::size_t i = 4; i < sent.size(); ++i) t->send_bytes(sent[i]);
+            t->flush_sends();
+            (void)t->recv_bytes();
+            sender_stats = t->stats();
+            t->close();
+        } catch (...) {
+            client_error = std::current_exception();
+        }
         server_thread.join();
+        if (server_error) std::rethrow_exception(server_error);
+        if (client_error) std::rethrow_exception(client_error);
         return std::make_tuple(std::move(received), sender_stats, receiver_stats);
     };
 
     const auto [sync_frames, sync_sender, sync_receiver] = run_one(false);
     const auto [piped_frames, piped_sender, piped_receiver] = run_one(true);
-    ASSERT_EQ(sync_frames.size(), 6U);
+    ASSERT_EQ(sync_frames, sent);
     ASSERT_EQ(piped_frames.size(), sync_frames.size());
     for (std::size_t i = 0; i < sync_frames.size(); ++i)
         EXPECT_EQ(piped_frames[i], sync_frames[i]) << "frame " << i << " diverged";
