@@ -30,7 +30,8 @@ std::uint64_t get_u64(const std::uint8_t* in) {
 struct ReluDraw {
     Ring r = 0;
     std::array<crypto::Block128, 4> roots;  ///< K_a's root0, root1, then K_b's
-    Ring r_share = 0;                       ///< party 0's shares of r, wrap and wrap * r
+    // Party 0's shares of r, wrap and wrap * r.
+    Ring r_share = 0;
     Ring u_share = 0;
     Ring v_share = 0;
 };
