@@ -16,8 +16,11 @@ namespace {
 
 constexpr Ring kHalfRing = Ring{1} << 63;
 
-/// Comparisons per tile: two DCFs each, so one tile fills one DCF tile.
-constexpr std::size_t kRelusPerTile = kDcfTile / 2;
+/// Comparisons per dealing (and decoding) tile: one DCF each, so one
+/// tile fills one DCF tile.
+constexpr std::size_t kDealPerTile = kDcfTile;
+/// Comparisons per evaluation tile: each key is walked at two points.
+constexpr std::size_t kEvalPerTile = kDcfTile / 2;
 
 void put_u64(std::uint8_t* out, std::uint64_t v) { std::memcpy(out, &v, 8); }
 std::uint64_t get_u64(const std::uint8_t* in) {
@@ -29,62 +32,46 @@ std::uint64_t get_u64(const std::uint8_t* in) {
 /// One comparison's dealer randomness, in gen_relu_material's draw order.
 struct ReluDraw {
     Ring r = 0;
-    std::array<crypto::Block128, 4> roots;  ///< K_a's root0, root1, then K_b's
-    // Party 0's shares of r, wrap and wrap * r.
-    Ring r_share = 0;
-    Ring u_share = 0;
-    Ring v_share = 0;
+    crypto::Block128 root0, root1;
+    Ring r_share = 0;  ///< party 0's share of r
 };
 
 ReluDraw draw_relu(crypto::ChaCha20Prg& prg) {
     ReluDraw d;
     d.r = prg.next_u64();
-    for (crypto::Block128& root : d.roots) root = prg.next_block();
+    d.root0 = prg.next_block();
+    d.root1 = prg.next_block();
     d.r_share = prg.next_u64();
-    d.u_share = prg.next_u64();
-    d.v_share = prg.next_u64();
     return d;
 }
 
-/// Deal server[c] and client[c] for c < m <= kRelusPerTile from draws[c]:
-/// the tile's 2m trees walk together.
+/// Construct server[c] and client[c] in place for c < m <= kDealPerTile
+/// from draws[c]: the tile's m trees walk together.
 void deal_tile(const ReluDraw* draws, ReluKeyShare* server, ReluKeyShare* client,
                std::size_t m) {
     std::array<DcfGenInput, kDcfTile> in;
     std::array<DcfKey*, kDcfTile> k0{}, k1{};
     for (std::size_t c = 0; c < m; ++c) {
+        // K sits at r + 2^63 with payload (1, r); eval_relu_batch walks
+        // it at z and at z + 2^63.
         const ReluDraw& d = draws[c];
-        // Interval containment: 1{(z-r) mod 2^64 in [0, 2^63)} equals
-        // DCF_{r+2^63}(z) - DCF_r(z) + wrap, case-checked for both wrap
-        // values; the payload's second lane carries the same identity
-        // multiplied by r.
-        in[2 * c] = {.alpha = d.r, .beta = {1, d.r}, .root0 = d.roots[0], .root1 = d.roots[1]};
-        in[2 * c + 1] = {.alpha = d.r + kHalfRing, .beta = {1, d.r}, .root0 = d.roots[2],
-                         .root1 = d.roots[3]};
-        k0[2 * c] = &server[c].key_a;
-        k1[2 * c] = &client[c].key_a;
-        k0[2 * c + 1] = &server[c].key_b;
-        k1[2 * c + 1] = &client[c].key_b;
-
-        const bool wrap = d.r >= kHalfRing;
-        server[c].r_share = d.r_share;
-        client[c].r_share = d.r - d.r_share;
-        server[c].u_const = d.u_share;
-        client[c].u_const = (wrap ? Ring{1} : Ring{0}) - d.u_share;
-        server[c].v_const = d.v_share;
-        client[c].v_const = (wrap ? d.r : Ring{0}) - d.v_share;
+        in[c] = {.alpha = d.r + kHalfRing, .beta = {1, d.r}, .root0 = d.root0, .root1 = d.root1};
+        k0[c] = &(::new (server + c) ReluKeyShare{.r_share = d.r_share, .key = {}})->key;
+        k1[c] = &(::new (client + c) ReluKeyShare{.r_share = d.r - d.r_share, .key = {}})->key;
     }
-    dcf_gen_batch({in.data(), 2 * m}, {k0.data(), 2 * m}, {k1.data(), 2 * m});
+    dcf_gen_batch({in.data(), m}, {k0.data(), m}, {k1.data(), m});
 }
 
-/// fn(base, m) for every tile [base, base + m) of n comparisons, tiles on
-/// `threads` (in order on the calling thread when it is null).
+/// fn(base, m) for every tile [base, base + m) of n comparisons, at most
+/// per_tile each, tiles on `threads` (in order on the calling thread when
+/// it is null).
 template <typename Fn>
-void for_each_tile(const core::ThreadPool* threads, std::size_t n, const Fn& fn) {
-    const auto tiles = static_cast<std::int64_t>((n + kRelusPerTile - 1) / kRelusPerTile);
+void for_each_tile(const core::ThreadPool* threads, std::size_t n, std::size_t per_tile,
+                   const Fn& fn) {
+    const auto tiles = static_cast<std::int64_t>((n + per_tile - 1) / per_tile);
     core::parallel_for(threads, 0, tiles, [&](std::int64_t t) {
-        const std::size_t base = static_cast<std::size_t>(t) * kRelusPerTile;
-        fn(base, std::min(kRelusPerTile, n - base));
+        const std::size_t base = static_cast<std::size_t>(t) * per_tile;
+        fn(base, std::min(per_tile, n - base));
     });
 }
 
@@ -101,22 +88,27 @@ void eval_relu_batch(std::span<const ReluKeyShare> keys, int party, std::span<co
                      std::span<Ring> out, const core::ThreadPool* threads) {
     require(z.size() == keys.size() && out.size() == keys.size(),
             "eval_relu_batch: key, point and output spans differ in size");
-    for_each_tile(threads, keys.size(), [&](std::size_t base, std::size_t m) {
+    for_each_tile(threads, keys.size(), kEvalPerTile, [&](std::size_t base, std::size_t m) {
         std::array<const DcfKey*, kDcfTile> dcf{};
         std::array<Ring, kDcfTile> xs{};
         std::array<DcfPayload, kDcfTile> at{};
         for (std::size_t c = 0; c < m; ++c) {
-            dcf[2 * c] = &keys[base + c].key_a;
-            dcf[2 * c + 1] = &keys[base + c].key_b;
-            xs[2 * c] = xs[2 * c + 1] = z[base + c];
+            dcf[2 * c] = dcf[2 * c + 1] = &keys[base + c].key;
+            xs[2 * c] = z[base + c];
+            xs[2 * c + 1] = z[base + c] + kHalfRing;
         }
         dcf_eval_batch({dcf.data(), 2 * m}, party, {xs.data(), 2 * m}, {at.data(), 2 * m});
         for (std::size_t c = 0; c < m; ++c) {
-            const ReluKeyShare& key = keys[base + c];
-            const DcfPayload d = at[2 * c + 1] - at[2 * c];  // K_b minus K_a
-            const Ring u = d.u + key.u_const;  // share of the drelu bit 1{y >= 0}
-            const Ring v = d.v + key.v_const;  // share of drelu * r
-            out[base + c] = z[base + c] * u - v;  // shares of drelu * (z - r) = ReLU(y)
+            // Interval containment: 1{(z-r) mod 2^64 in [0, 2^63)} equals
+            // DCF_{r+2^63}(z) - DCF_{r+2^63}(z+2^63) + z_hi, case-checked
+            // for both halves of z and of r; the payload's second lane
+            // carries the same identity multiplied by r.
+            const Ring zc = z[base + c];
+            const Ring z_hi = zc >> 63;
+            const DcfPayload d = at[2 * c] - at[2 * c + 1];
+            const Ring u = d.u + (party == 0 ? z_hi : 0);  // share of the drelu bit 1{y >= 0}
+            const Ring v = d.v + z_hi * keys[base + c].r_share;  // share of drelu * r
+            out[base + c] = zc * u - v;  // shares of drelu * (z - r) = ReLU(y)
         }
     });
 }
@@ -131,20 +123,11 @@ Ring eval_relu(const ReluKeyShare& key, int party, Ring z) {
 
 void ReluKeyShare::serialize_into(std::uint8_t* out) const {
     put_u64(out, r_share);
-    put_u64(out + 8, u_const);
-    put_u64(out + 16, v_const);
-    key_a.serialize_into(out + 24);
-    key_b.serialize_into(out + 24 + DcfKey::kSerializedBytes);
+    key.serialize_into(out + 8);
 }
 
 ReluKeyShare ReluKeyShare::deserialize(const std::uint8_t* in) {
-    ReluKeyShare key;
-    key.r_share = get_u64(in);
-    key.u_const = get_u64(in + 8);
-    key.v_const = get_u64(in + 16);
-    key.key_a = DcfKey::deserialize(in + 24);
-    key.key_b = DcfKey::deserialize(in + 24 + DcfKey::kSerializedBytes);
-    return key;
+    return {.r_share = get_u64(in), .key = DcfKey::deserialize(in + 8)};
 }
 
 // ---------------------------------------------------------------- shipment ---
@@ -156,12 +139,13 @@ void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPo
     // depend on which thread deals which tile.
     std::vector<ReluDraw> draws(count);
     for (ReluDraw& d : draws) d = draw_relu(prg);
-    std::vector<ReluKeyShare> mine(count);
+    // Neither buffer is zero-filled: the tiles construct and encode every
+    // record.
+    KeyBatch mine(count);
     const std::size_t bytes = count * ReluKeyShare::kSerializedBytes;
-    // Not zero-filled: the tiles encode every record.
     const auto payload = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
-    for_each_tile(threads, count, [&](std::size_t base, std::size_t m) {
-        std::vector<ReluKeyShare> theirs(m);  // the tile's client halves
+    for_each_tile(threads, count, kDealPerTile, [&](std::size_t base, std::size_t m) {
+        KeyBatch theirs(m);  // the tile's client halves
         deal_tile(draws.data() + base, mine.data() + base, theirs.data(), m);
         for (std::size_t c = 0; c < m; ++c)
             theirs[c].serialize_into(payload.get() +
@@ -177,10 +161,11 @@ void client_replenish(net::Transport& transport, KeyPool& pool, std::size_t coun
     const std::vector<std::uint8_t> payload = transport.recv_keys_bytes();
     require(payload.size() == count * ReluKeyShare::kSerializedBytes,
             "fss key batch: shipped key count does not match the plan-derived schedule");
-    std::vector<ReluKeyShare> keys(count);
-    for_each_tile(threads, count, [&](std::size_t base, std::size_t m) {
+    KeyBatch keys(count);  // not zero-filled: each tile constructs its records
+    for_each_tile(threads, count, kDealPerTile, [&](std::size_t base, std::size_t m) {
         for (std::size_t c = base; c < base + m; ++c)
-            keys[c] = ReluKeyShare::deserialize(payload.data() + c * ReluKeyShare::kSerializedBytes);
+            ::new (&keys[c]) ReluKeyShare(
+                ReluKeyShare::deserialize(payload.data() + c * ReluKeyShare::kSerializedBytes));
     });
     pool.push(std::move(keys));
 }

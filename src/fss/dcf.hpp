@@ -13,8 +13,10 @@
 /// Fixed-Point Secure Computation"): one 128-bit seed per party walks a
 /// depth-64 binary tree, with one correction word per level plus a final
 /// output correction. Keys are input-independent, so generation hoists
-/// into the preprocessing phase (compare.hpp builds ReLU material from
-/// pairs of DCFs; key_pool.hpp buffers shipped batches).
+/// into the preprocessing phase (compare.hpp builds each ReLU comparison
+/// from one DCF at alpha = r + 2^63, evaluated at z and at z + 2^63, the
+/// interval-containment gate of the same paper; key_pool.hpp holds the
+/// session's batch).
 ///
 /// The payload group is Z_{2^64} x Z_{2^64} (`DcfPayload`): the interval-
 /// containment trick needs shares of both the predicate bit and
@@ -23,13 +25,16 @@
 /// (64 bytes -> left/right child seeds + left/right payload converts).
 ///
 /// Generation and evaluation walk many keys' trees level-synchronously:
-/// a tile of up to kDcfTile keys descends all 64 levels before the next
+/// a tile of up to kDcfTile trees descends all 64 levels before the next
 /// tile starts, and each level expands every node of the tile in one
 /// call to the kernel table's multi-seed ChaCha20 entry
 /// (he::kernels::Kernels::chacha20_seeded_blocks, 16 seeds per AVX-512
 /// pass). Tiles keep a level's correction-word traffic inside the cache;
 /// stepping a whole layer in lockstep would touch one line per key
-/// across every key of the layer. The single-key dcf_gen/dcf_eval are
+/// across every key of the layer. A dealing tile is kDcfTile comparisons
+/// (one tree each); an evaluation tile is kDcfTile / 2 comparisons, each
+/// key walked at its two points, so both walks of a key read its
+/// correction words from the cache. The single-key dcf_gen/dcf_eval are
 /// one-element calls into the same walk, so keys and outputs do not
 /// depend on how calls are batched.
 

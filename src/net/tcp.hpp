@@ -36,7 +36,7 @@ namespace c2pi::net {
 
 /// Frame/handshake constants, shared with docs/PROTOCOL.md.
 inline constexpr std::uint8_t kWireMagic[4] = {'C', '2', 'P', 'I'};
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kHandshakeSize = 8;
 inline constexpr std::size_t kFrameHeaderSize = 8;
 /// Upper bound on a single frame's payload; a corrupt or hostile header

@@ -1,10 +1,11 @@
 // Unit and integration tests for the FSS comparison subsystem
 // (src/fss/): the DCF primitive against a plaintext comparison oracle
 // (single keys and ragged tiled batches), the interval-containment ReLU
-// material, the dealt key bytes against pinned digests (serial and on a
-// thread pool), pooled decoding and evaluation against serial, the key
-// record codec, the client's schedule check and the one-batch key pool,
-// and the kFss backend at the session layer — cross-backend logit parity
+// material (one DCF per comparison, also at chosen masks), the dealt key
+// bytes against pinned digests (serial and on a thread pool), pooled
+// decoding and evaluation against serial, the key record codec, the
+// client's schedule check and the one-batch key pool, and the kFss
+// backend at the session layer — cross-backend logit parity
 // (bit-identical vs GC and OT), the preprocessing traffic bucket, and
 // the typed NonlinearMismatch negotiation error. The
 // secure_relu/secure_maxpool protocol-level coverage lives in
@@ -166,6 +167,39 @@ TEST(FssRelu, MaterialEvaluatesToReluOverSignedBoundaryValues) {
     }
 }
 
+/// The one-key identity at chosen masks: each comparison's material is
+/// built by hand from dcf_gen(r + 2^63, (1, r)) and a drawn share of r,
+/// for masks at both ends and on both sides of the ring midpoint, so z
+/// takes both values of z_hi. Both parties' batched outputs must sum to
+/// ReLU(y), serially and with the evaluation tiles on a pool.
+TEST(FssRelu, OneKeyIdentityHoldsAtChosenMasks) {
+    crypto::ChaCha20Prg prg(crypto::Block128{0x1DE7, 0x63}, 20);
+    const Ring masks[] = {0, 1, kMid - 1, kMid, kMid + 1, kMax};
+    const Ring ys[] = {0, 1, Ring{0} - 1, kMid, kMid - 1, 1000, Ring{0} - 1000};
+    std::vector<ReluKeyShare> server, client;
+    std::vector<Ring> y_of, z;
+    for (const Ring r : masks) {
+        const DcfKeyPair keys = dcf_gen(r + kMid, DcfPayload{1, r}, prg);
+        const Ring r_share = prg.next_u64();
+        for (const Ring y : ys) {
+            server.push_back({.r_share = r_share, .key = keys.k0});
+            client.push_back({.r_share = r - r_share, .key = keys.k1});
+            y_of.push_back(y);
+            z.push_back(y + r);
+        }
+    }
+    const core::ThreadPool threads(4);
+    for (const core::ThreadPool* pool : {static_cast<const core::ThreadPool*>(nullptr),
+                                         &threads}) {
+        std::vector<Ring> out0(z.size()), out1(z.size());
+        eval_relu_batch(server, 0, z, out0, pool);
+        eval_relu_batch(client, 1, z, out1, pool);
+        for (std::size_t i = 0; i < z.size(); ++i)
+            EXPECT_EQ(out0[i] + out1[i], y_of[i] < kMid ? y_of[i] : 0)
+                << "r=" << z[i] - y_of[i] << " y=" << y_of[i] << " pooled=" << (pool != nullptr);
+    }
+}
+
 /// KEYS-frame payload: the records back to back, serialize_into each.
 std::vector<std::uint8_t> encode_records(std::span<const ReluKeyShare> keys) {
     std::vector<std::uint8_t> out(keys.size() * ReluKeyShare::kSerializedBytes);
@@ -191,7 +225,7 @@ TEST(FssRelu, RecordCodecRoundTripsBitExactly) {
 /// while keys remain, and refuses to hand out keys it does not hold.
 TEST(FssKeyPool, HoldsOneBatchAndRefusesToOverdraw) {
     crypto::ChaCha20Prg prg(crypto::Block128{0x9001, 0x1}, 9);
-    std::vector<ReluKeyShare> batch;
+    KeyBatch batch;
     for (int i = 0; i < 3; ++i) batch.push_back(gen_relu_material(prg).server);
     const std::vector<std::uint8_t> bytes = encode_records(batch);
 
@@ -225,9 +259,9 @@ std::string sha256_hex(std::span<const std::uint8_t> bytes) {
 }
 
 /// Both halves of 257 dealt comparisons from a pinned PRG, against
-/// digests of the key material the one-tree-at-a-time dealer produced:
-/// tiling, lane widths and the kernel tier must not change one bit. 257
-/// is no multiple of any tile or lane width.
+/// digests of the key material 257 gen_relu_material calls produce, one
+/// tree at a time: tiling, lane widths and the kernel tier must not
+/// change one bit. 257 is no multiple of any tile or lane width.
 TEST(FssRelu, DealtKeysMatchPinnedDigests) {
     constexpr std::size_t kCount = 257;
     std::vector<std::uint8_t> payload;
@@ -244,9 +278,9 @@ TEST(FssRelu, DealtKeysMatchPinnedDigests) {
         [&](net::Transport& t) { payload = t.recv_keys_bytes(); });
     ASSERT_EQ(payload.size(), kCount * ReluKeyShare::kSerializedBytes);
     EXPECT_EQ(sha256_hex(payload),
-              "610887b1461dd7f0191fa698e011486e4b4820badc470fba23f0839dfd188104");
+              "01b028931d9f2ccb4f3f697c2ced026a3e0a73836798e805d6b7dfa0fa113662");
     EXPECT_EQ(sha256_hex(server_halves),
-              "83cf2a5c2b429e582aefe97cd2145281766ae1877e8cac8ef9dd11fa5f3e1dc1");
+              "17bfbd5c492e4d7c7b472774013e148df855f6355d9a6e79002c22fc778a7f23");
 }
 
 /// DealtKeysMatchPinnedDigests dealt on a four-thread pool: the tiles run
@@ -269,17 +303,18 @@ TEST(FssRelu, PooledDealingMatchesPinnedDigests) {
         [&](net::Transport& t) { payload = t.recv_keys_bytes(); });
     ASSERT_EQ(payload.size(), kCount * ReluKeyShare::kSerializedBytes);
     EXPECT_EQ(sha256_hex(payload),
-              "610887b1461dd7f0191fa698e011486e4b4820badc470fba23f0839dfd188104");
+              "01b028931d9f2ccb4f3f697c2ced026a3e0a73836798e805d6b7dfa0fa113662");
     EXPECT_EQ(sha256_hex(server_halves),
-              "83cf2a5c2b429e582aefe97cd2145281766ae1877e8cac8ef9dd11fa5f3e1dc1");
+              "17bfbd5c492e4d7c7b472774013e148df855f6355d9a6e79002c22fc778a7f23");
 }
 
 /// The client's pooled decode and both parties' pooled evaluation equal
 /// the serial ones, on sizes below, at and just past one 32-comparison
-/// tile and on a ragged many-tile batch.
+/// evaluation tile and one 64-comparison decoding tile, and on a ragged
+/// many-tile batch.
 TEST(FssRelu, PooledEvaluationAndDecodeMatchSerial) {
     const core::ThreadPool threads(4);
-    for (const std::size_t n : {1UL, 31UL, 32UL, 33UL, 1000UL}) {
+    for (const std::size_t n : {1UL, 31UL, 32UL, 33UL, 64UL, 65UL, 1000UL}) {
         crypto::ChaCha20Prg prg(crypto::Block128{0x9001ED, n}, 19);
         std::vector<ReluKeyShare> server(n), client(n);
         std::vector<Ring> ys(n), z(n);

@@ -223,16 +223,20 @@ TEST(TcpTransport, RejectsNonC2piPeer) {
 }
 
 TEST(TcpTransport, RejectsPeerAnnouncingAnotherVersion) {
-    // A well-formed hello from a version-1 peer: its 1-of-16 OT pads
-    // differ, so the session must fail at the handshake instead of
-    // computing wrong comparisons with frames of the right size.
-    TcpListener listener(/*port=*/0);
-    std::thread old_client([port = listener.port()] {
-        const std::uint8_t hello[kHandshakeSize] = {'C', '2', 'P', 'I', 1, 1, 0, 0};
-        raw_hello_peer(port, hello);
-    });
-    EXPECT_THROW((void)listener.accept(/*timeout_ms=*/10'000), Error);
-    old_client.join();
+    // Well-formed hellos from older peers. A version-1 peer's 1-of-16 OT
+    // pads differ, so the session must fail at the handshake instead of
+    // computing wrong comparisons with frames of the right size. A
+    // version-2 peer ships two-key FSS records; the handshake rejects it
+    // before its KEYS frame could fail the size check.
+    for (const std::uint8_t version : {1, 2}) {
+        TcpListener listener(/*port=*/0);
+        std::thread old_client([port = listener.port(), version] {
+            const std::uint8_t hello[kHandshakeSize] = {'C', '2', 'P', 'I', version, 1, 0, 0};
+            raw_hello_peer(port, hello);
+        });
+        EXPECT_THROW((void)listener.accept(/*timeout_ms=*/10'000), Error) << "version " << +version;
+        old_client.join();
+    }
 }
 
 TEST(TcpTransport, ConnectTimesOutWhenNobodyListens) {
