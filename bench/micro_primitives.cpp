@@ -2,8 +2,9 @@
 // substrates — not a paper artifact, but the per-primitive costs that
 // explain Table II: NTT, BFV ops, the HE linear-layer server hot loops
 // over the compiled PlainNtt cache, garbled-circuit ReLU, the OT
-// millionaire DReLU, the DCF evaluation and per-backend online ReLU of
-// the FSS subsystem, IKNP throughput, and the float conv kernel.
+// millionaire DReLU, the DCF evaluation, key dealing and per-backend
+// online ReLU of the FSS subsystem, IKNP throughput, and the float conv
+// kernel.
 //
 // Set C2PI_BENCH_JSON=<path> to also write the results as JSON
 // (google-benchmark's native format); C2PI_FAST=1 shrinks min-time and
@@ -22,6 +23,7 @@
 #include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
 #include "fss/compare.hpp"
+#include "fss/key_pool.hpp"
 #include "he/bfv.hpp"
 #include "he/kernels.hpp"
 #include "mpc/linear.hpp"
@@ -367,6 +369,28 @@ void BM_DcfEvalBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DcfEvalBatch)->Arg(1024);
 
+void BM_FssDealBatch(benchmark::State& state) {
+    // The dealer's whole preprocessing step for n comparisons, serially:
+    // draw, deal, encode the client halves into one KEYS frame and pool
+    // the server halves, while the peer drains the frame over an
+    // in-process channel; items = comparisons.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    crypto::ChaCha20Prg prg(crypto::Block128{29, 30});
+    for (auto _ : state) {
+        net::DuplexChannel channel;
+        net::run_two_party(
+            channel,
+            [&](net::Transport& t) {
+                fss::KeyPool pool;
+                fss::dealer_replenish(t, prg, pool, n);
+            },
+            [](net::Transport& t) { benchmark::DoNotOptimize(t.recv_keys_bytes()); });
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FssDealBatch)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 /// Online-phase cost of one batched secure ReLU per backend. For kFss
 /// the DCF key material is generated ONCE outside the timed region and
 /// pushed into both parties' pools each iteration (a deployment ships it
@@ -384,7 +408,7 @@ void bench_relu_online(benchmark::State& state, mpc::NonlinearBackend backend) {
         v0[i] = rng.next_u64();
         v1[i] = val - v0[i];
     }
-    std::vector<fss::ReluKeyShare> server_keys, client_keys;
+    fss::KeyBatch server_keys, client_keys;
     if (backend == mpc::NonlinearBackend::kFss) {
         crypto::ChaCha20Prg dealer(crypto::Block128{23, 24});
         for (std::size_t i = 0; i < n; ++i) {
