@@ -12,10 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -532,121 +530,6 @@ void BM_CrHashBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CrHashBatch)->Arg(1024);
 
-// -- streamed-response pipelining benchmark -----------------------------------
-// End-to-end HE conv layer (both parties, real protocol) over a link
-// model: every client recv pays latency + bytes/bandwidth before the
-// payload is usable, the shape of a serialized network pipe. The sync
-// arm computes every response behind a barrier and only then ships; the
-// pipelined arm streams each response chunk as it is finished, so
-// transmission and the client's decrypt+decode overlap the server's
-// remaining compute. This is the wall-clock claim behind
-// SessionConfig::pipeline (end to end, servebench's wan-c2pi-delphi
-// workload runs the real demo protocol through a WAN relay; set
-// C2PI_PIPELINE=0 to compare). Registered only outside
-// C2PI_FAST: a sleep-calibrated benchmark has no business in the CI
-// perf trajectory or its baseline.
-
-/// Client-side link model: recv blocks for latency + size/bandwidth
-/// after the payload arrives. Applied on the receiver so both arms pay
-/// identical per-byte cost and only the *overlap* differs.
-class LinkModelTransport final : public net::Transport {
-public:
-    LinkModelTransport(net::Transport& inner, double latency_s, double bytes_per_s)
-        : Transport(inner.party_id()),
-          inner_(&inner),
-          latency_s_(latency_s),
-          bytes_per_s_(bytes_per_s) {}
-
-    void send_bytes(std::span<const std::uint8_t> data) override {
-        inner_->set_phase(phase_);
-        inner_->send_bytes(data);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override {
-        auto out = inner_->recv_bytes();
-        link_delay(out.size());
-        return out;
-    }
-    void recv_bytes_into(std::vector<std::uint8_t>& out) override {
-        inner_->recv_bytes_into(out);
-        link_delay(out.size());
-    }
-    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
-
-private:
-    void link_delay(std::size_t bytes) const {
-        const double seconds = latency_s_ + static_cast<double>(bytes) / bytes_per_s_;
-        std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    }
-
-    net::Transport* inner_;
-    double latency_s_;
-    double bytes_per_s_;
-};
-
-void BM_HeConvStreamedResponsesLan(benchmark::State& state) {
-    const bool pipelined = state.range(0) == 1;
-    // Single-group input (one upload ciphertext) fanning out to 64
-    // response chunks: upload cost is negligible, so the measurement
-    // isolates the response stream — the part pipelining changes.
-    // Serial BFV: one chunk of server compute per link-transmission
-    // slot, the balance where overlap matters.
-    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4});
-    const he::ConvGeometry geo{.in_channels = 16,
-                               .height = 16,
-                               .width = 16,
-                               .out_channels = 64,
-                               .kernel = 3,
-                               .stride = 1,
-                               .pad = 1};
-    Rng rng(23);
-    const FixedPointFormat fmt{.frac_bits = 16};
-    std::vector<Ring> w(static_cast<std::size_t>(geo.out_channels * geo.in_channels *
-                                                 geo.kernel * geo.kernel));
-    for (auto& v : w) v = fmt.encode(rng.uniform(-1.0F, 1.0F));
-    const auto make_share = [&](std::uint64_t seed) {
-        Rng r(seed);
-        std::vector<Ring> x(static_cast<std::size_t>(geo.in_channels * geo.height * geo.width));
-        for (auto& v : x) v = fmt.encode(r.uniform(-1.0F, 1.0F));
-        return x;
-    };
-    const auto x0 = make_share(31), x1 = make_share(32);
-    const mpc::ConvLayerCache cache(ctx, geo, w, {});
-
-    // 0.1 ms switch latency, 500 MB/s (4 Gbit/s): a modern LAN testbed.
-    // One two-limb response chunk is ~128 KiB.
-    const double kLatency = 0.1e-3, kBandwidth = 500e6;
-    const crypto::Block128 session_seed{0xBEEF, 0xCAFE};
-    crypto::ChaCha20Prg key_prg(crypto::Block128{91, 92});
-    const auto client_key = ctx.keygen(key_prg);  // key setup is not the measurand
-    for (auto _ : state) {
-        net::DuplexChannel channel;
-        net::run_two_party(
-            channel,
-            [&](net::Transport& t) {
-                mpc::PartyContext pctx(t, fmt, ctx, session_seed);
-                pctx.set_pipeline(pipelined);
-                benchmark::DoNotOptimize(mpc::he_conv_server(pctx, cache, x0));
-            },
-            [&](net::Transport& t) {
-                LinkModelTransport link(t, kLatency, kBandwidth);
-                mpc::PartyContext pctx(link, fmt, ctx, session_seed);
-                pctx.set_client_key(client_key);
-                benchmark::DoNotOptimize(mpc::he_conv_client(pctx, cache.enc, x1));
-            });
-    }
-    state.counters["chunks"] = static_cast<double>(geo.out_channels);
-    state.counters["pipelined"] = pipelined ? 1.0 : 0.0;
-}
-
-void register_link_benchmarks() {
-    benchmark::RegisterBenchmark("BM_HeConvStreamedResponsesLan", BM_HeConvStreamedResponsesLan)
-        ->Arg(0)
-        ->Arg(1)
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime()
-        ->MinTime(2.0);
-}
-
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN: environment-driven knobs so the
@@ -656,8 +539,7 @@ void register_link_benchmarks() {
 //                             repeat each bench kFastRepetitions times
 //                             (scripts/bench_diff.py gates on the median;
 //                             the flag, unlike Repetitions(), keeps the
-//                             names the baseline uses) and skip the
-//                             sleep-calibrated link pair.
+//                             names the baseline uses).
 int main(int argc, char** argv) {
     std::vector<char*> args(argv, argv + argc);
     constexpr int kFastRepetitions = 5;
@@ -675,8 +557,6 @@ int main(int argc, char** argv) {
         reps_flag = "--benchmark_repetitions=" + std::to_string(kFastRepetitions);
         args.push_back(fast_flag.data());
         args.push_back(reps_flag.data());
-    } else {
-        register_link_benchmarks();
     }
     int args_count = static_cast<int>(args.size());
     benchmark::Initialize(&args_count, args.data());

@@ -117,12 +117,12 @@ public:
     /// transfer reuses recv_scratch()). Same single-thread rule.
     [[nodiscard]] std::vector<std::uint8_t>& aux_recv_scratch() { return aux_recv_scratch_; }
 
-    /// Pipelined-session flag (SessionConfig::pipeline, default off for
-    /// bare contexts): when set, the HE linear layers stream per-channel
-    /// response chunks as they finish instead of batching the full
-    /// response. Wire bytes and order are identical either way.
-    void set_pipeline(bool enabled) { pipeline_ = enabled; }
-    [[nodiscard]] bool pipeline() const { return pipeline_; }
+    /// Every context streams its HE responses (mpc/linear.cpp), so only
+    /// `true` is accepted; `false` throws before anything is sent. Kept
+    /// only because servebench/serving/replay.hpp still calls it.
+    void set_pipeline(bool enabled) {
+        require(enabled, "PartyContext::set_pipeline(false): HE responses are always streamed");
+    }
 
 private:
     net::Transport* transport_;
@@ -137,7 +137,6 @@ private:
     GcCircuitCache* gc_cache_ = nullptr;
     GcCircuitCache owned_gc_cache_;
     std::vector<std::uint8_t> send_scratch_, recv_scratch_, aux_recv_scratch_;
-    bool pipeline_ = false;
 };
 
 }  // namespace c2pi::mpc

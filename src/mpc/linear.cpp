@@ -123,28 +123,17 @@ private:
     std::exception_ptr error_;
 };
 
-/// Compute `count` response ciphertexts and ship them in index order.
-/// Synchronous mode (ctx.pipeline() off) keeps the historical barrier:
-/// one parallel_for over all indices, then all sends. Pipelined mode
-/// overlaps the two: a producer thread drives the SAME parallel_for and
+/// Compute `count` response ciphertexts and ship them in index order,
+/// overlapping the two: a producer thread drives one parallel_for and
 /// publishes each chunk as it finishes, while the protocol thread ships
 /// chunk o the moment it is ready — later chunks are still in the NTT.
-/// Send order and per-message bytes are identical in both modes, so the
-/// wire transcript (and ChannelStats) never changes; parallel_for's
+/// Send order and per-message bytes do not depend on the schedule, so
+/// the wire transcript (and ChannelStats) never changes; parallel_for's
 /// rethrow semantics guarantee every index either publishes or the
 /// producer fails the stream after the loop unwinds.
 template <typename ComputeFn>
 void emit_responses(PartyContext& ctx, std::int64_t count, ComputeFn&& compute) {
     const core::ThreadPool* pool = ctx.bfv().thread_pool();
-    if (!ctx.pipeline()) {
-        std::vector<he::Ciphertext> responses(static_cast<std::size_t>(count));
-        core::parallel_for(pool, 0, count, [&](std::int64_t o) {
-            responses[static_cast<std::size_t>(o)] = compute(o);
-        });
-        for (std::int64_t o = 0; o < count; ++o)
-            send_ciphertext(ctx, responses[static_cast<std::size_t>(o)]);
-        return;
-    }
     ChunkStream stream(static_cast<std::size_t>(count));
     std::thread producer([&] {
         try {
@@ -243,8 +232,8 @@ std::vector<Ring> he_linear_server(PartyContext& ctx, const LinearLayerCache& ca
     }
 
     // Responses in parallel, shipped in response order (the wire
-    // transcript is identical to the serial loop); pipelined sessions
-    // stream each response the moment it finalizes.
+    // transcript is identical to the serial loop) and each streamed the
+    // moment it finalizes.
     emit_responses(ctx, layout.responses(), [&](std::int64_t r) {
         const auto w = std::span(cache.w_ntt).subspan(static_cast<std::size_t>(r * layout.inputs),
                                                       static_cast<std::size_t>(layout.inputs));

@@ -121,10 +121,10 @@ public:
     [[nodiscard]] ChannelStats stats() const override { return channel_->stats(); }
 
     /// Recv wait is the queue-pop block; a push never blocks, so the
-    /// in-process send path is already "pipelined" and set_pipelined_
-    /// sends / flush_sends stay the base-class no-ops. Pop waits are
-    /// attributed to the RECEIVER's current phase (the two parties move
-    /// phases in lock-step, so this matches the sender's tag).
+    /// in-process send path is already pipelined and flush_sends stays
+    /// the base-class no-op. Pop waits are attributed to the RECEIVER's
+    /// current phase (the two parties move phases in lock-step, so this
+    /// matches the sender's tag).
     [[nodiscard]] WaitStats wait_stats() const override {
         const std::lock_guard<std::mutex> lock(wait_mutex_);
         return waits_;

@@ -3,7 +3,7 @@
 /// \file faulty.hpp
 /// Deterministic fault injection over any `Transport`.
 ///
-/// `FaultyTransport` is a decorator in the mold of the parity harness's
+/// `FaultyTransport` is a decorator in the mold of the tests'
 /// RecordingTransport: it forwards every call to an inner transport, but
 /// consults a `FaultSchedule` first and — at scheduled operation indices
 /// — delays, stalls, truncates, corrupts, or kills the connection. The
@@ -31,7 +31,9 @@
 /// artifact and key shipment) in program order, so a schedule addresses
 /// "the 7th thing this party does on the wire" regardless of which
 /// method that turns out to be. Run a schedule-free pass first and read
-/// `ops_seen()` to size a sweep.
+/// `ops_seen()` to size a sweep. The serving-lifecycle calls (deadlines,
+/// close, refuse_busy) are not ops: they pass straight through, so a
+/// pool can serve a decorated transport exactly like the inner one.
 
 #include <algorithm>
 #include <chrono>
@@ -168,13 +170,18 @@ public:
     [[nodiscard]] ChannelStats stats() const override { return inner_->stats(); }
     [[nodiscard]] WaitStats wait_stats() const override { return inner_->wait_stats(); }
 
-    /// Pipelined sends pass straight through: faults are applied on the
-    /// protocol thread at enqueue time (above the inner transport's
-    /// queue), so a schedule fires at the same op index in both modes.
-    void set_pipelined_sends(bool enabled) override { inner_->set_pipelined_sends(enabled); }
+    /// Faults are applied on the protocol thread at enqueue time, above
+    /// the inner transport's send queue, so a flush only passes through.
     void flush_sends() override { inner_->flush_sends(); }
 
     void abort_connection() noexcept override { inner_->abort_connection(); }
+
+    void set_recv_timeout(int milliseconds) override { inner_->set_recv_timeout(milliseconds); }
+    void arm_handshake_deadline(int milliseconds) override {
+        inner_->arm_handshake_deadline(milliseconds);
+    }
+    void close() noexcept override { inner_->close(); }
+    void refuse_busy() noexcept override { inner_->refuse_busy(); }
 
     void send_artifact_bytes(std::span<const std::uint8_t> bytes) override {
         inner_->set_phase(phase_);
@@ -253,8 +260,12 @@ private:
             case FaultKind::kDisconnect:
                 // Leak the first `param` bytes as a (short, valid) frame
                 // before dying, so "crashed mid-send" is reachable too.
-                if (fault.param > 0 && !data.empty())
+                // The flush hands it to the OS before the abort drops
+                // the inner transport's send queue.
+                if (fault.param > 0 && !data.empty()) {
                     send(data.first(std::min<std::size_t>(fault.param, data.size())));
+                    inner_->flush_sends();
+                }
                 disconnect_now();
             case FaultKind::kTruncate:
                 send(data.first(std::min<std::size_t>(fault.param, data.size())));

@@ -107,11 +107,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Bound on bytes parked in the pipelined send queue; past it the
-/// protocol thread blocks (charged as send wait) until the writer
-/// catches up, so a slow link applies backpressure instead of buffering
-/// a whole inference unboundedly. A single over-bound frame is still
-/// admitted when the queue is empty.
+/// Bound on bytes parked in the send queue; past it the protocol thread
+/// blocks (charged as send wait) until the writer catches up, so a slow
+/// link applies backpressure instead of buffering a whole inference
+/// unboundedly. A single over-bound frame is still admitted when the
+/// queue is empty.
 constexpr std::size_t kMaxQueuedSendBytes = std::size_t{1} << 26;  // 64 MiB
 
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
@@ -161,29 +161,25 @@ TcpTransport::TcpTransport(int fd, int party_id, int handshake_timeout_ms)
         require(peer[4] == kWireVersion, "tcp handshake: protocol version mismatch");
         require(peer[5] == static_cast<std::uint8_t>(1 - party_),
                 "tcp handshake: both endpoints claim the same party role");
+        handshake_tv = timeval{};
+        (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &handshake_tv, sizeof(handshake_tv));
+        writer_ = std::thread([this] { writer_loop(); });
     } catch (...) {
         close_quietly(fd_);
         throw;
     }
-    handshake_tv = timeval{};
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &handshake_tv, sizeof(handshake_tv));
 }
 
 TcpTransport::~TcpTransport() { close(); }
 
 void TcpTransport::send_frame(FrameType type, Phase phase,
                               std::span<const std::uint8_t> payload) {
-    if (!pipelined_) {
-        write_frame(type, phase, payload);
-        return;
-    }
+    // Copy header+payload into one contiguous frame and hand it to the
+    // writer thread. The copy frees the caller's buffer (protocols reuse
+    // a per-session scratch) immediately; frame ORDER is the queue order,
+    // which is the call order.
     std::uint8_t header[kFrameHeaderSize];
     frame_header(header, type, phase, payload.size());
-    // Pipelined path: copy header+payload into one contiguous frame and
-    // hand it to the writer thread. The copy frees the caller's buffer
-    // (protocols reuse a per-session scratch) immediately; frame ORDER is
-    // the queue order, so the wire transcript is byte-identical to the
-    // synchronous path.
     std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
     std::memcpy(frame.data(), header, kFrameHeaderSize);
     if (!payload.empty())
@@ -227,17 +223,12 @@ void TcpTransport::write_frame(FrameType type, Phase phase,
 
 void TcpTransport::send_bytes(std::span<const std::uint8_t> data) {
     require(is_open(), "tcp send: transport is closed");
-    // Synchronous sends charge the whole socket write as send wait; the
-    // pipelined path charges only queue-full backpressure (inside
-    // enqueue_frame). Stats are recorded here on the protocol thread in
-    // BOTH modes, so ChannelStats ordering (flights) never depends on
-    // writer scheduling.
-    const auto t0 = std::chrono::steady_clock::now();
+    // Only queue-full backpressure is send wait (charged inside
+    // enqueue_frame). Stats are recorded here on the protocol thread, so
+    // ChannelStats ordering (flights) never depends on writer scheduling.
     send_frame(FrameType::kData, phase_, data);
-    const double waited = pipelined_ ? 0.0 : seconds_since(t0);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.record(party_, phase_, data.size());
-    waits_.add_send(phase_, waited);
 }
 
 std::vector<std::uint8_t> TcpTransport::recv_bytes() {
@@ -346,13 +337,18 @@ std::vector<std::uint8_t> TcpTransport::recv_artifact_bytes() {
 
 void TcpTransport::send_keys_bytes(std::span<const std::uint8_t> bytes) {
     require(is_open(), "tcp send: transport is closed");
-    // A key batch is tens of MiB: rather than copy it into a pipelined
+    // A key batch is tens of MiB: rather than copy it into a queued
     // frame, let the writer drain every queued frame, then write this one
     // from the caller's buffer. Frame order is the call order either way.
+    // The write blocks until the peer has read all but a socket buffer's
+    // worth of the batch, so its time is send wait.
     flush_sends();
+    const auto t0 = std::chrono::steady_clock::now();
     write_frame(FrameType::kKeys, Phase::kPreprocess, bytes);
+    const double waited = seconds_since(t0);
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.record(party_, Phase::kPreprocess, bytes.size());
+    waits_.add_send(Phase::kPreprocess, waited);
 }
 
 std::vector<std::uint8_t> TcpTransport::recv_keys_bytes() {
@@ -376,23 +372,9 @@ WaitStats TcpTransport::wait_stats() const {
     return waits_;
 }
 
-// --------------------------------------------------------- pipelined sends ---
-
-void TcpTransport::set_pipelined_sends(bool enabled) {
-    if (enabled == pipelined_) return;
-    if (enabled) {
-        require(is_open(), "set_pipelined_sends: transport is closed");
-        writer_stop_ = false;
-        writer_error_ = nullptr;
-        writer_ = std::thread([this] { writer_loop(); });
-        pipelined_ = true;
-    } else {
-        stop_writer(/*swallow_errors=*/false);
-    }
-}
+// -------------------------------------------------------------- send queue ---
 
 void TcpTransport::flush_sends() {
-    if (!pipelined_) return;
     std::unique_lock<std::mutex> lock(send_mutex_);
     double waited = 0.0;
     if (!send_queue_.empty() || writer_busy_) {
@@ -460,8 +442,7 @@ void TcpTransport::writer_loop() {
     }
 }
 
-void TcpTransport::stop_writer(bool swallow_errors) {
-    pipelined_ = false;
+void TcpTransport::stop_writer() noexcept {
     if (!writer_.joinable()) return;
     {
         const std::lock_guard<std::mutex> lock(send_mutex_);
@@ -469,14 +450,9 @@ void TcpTransport::stop_writer(bool swallow_errors) {
     }
     send_cv_.notify_all();
     writer_.join();
-    if (!swallow_errors) {
-        const std::lock_guard<std::mutex> lock(send_mutex_);
-        if (writer_error_) std::rethrow_exception(writer_error_);
-    }
 }
 
 void TcpTransport::rethrow_writer_error() {
-    if (!pipelined_) return;
     const std::lock_guard<std::mutex> lock(send_mutex_);
     if (writer_error_) std::rethrow_exception(writer_error_);
 }
@@ -513,25 +489,20 @@ void TcpTransport::abort_connection() noexcept {
     // in-flight write races fd reuse); its queue is dropped, not drained
     // — a hard abort sends nothing more.
     if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
-    if (writer_.joinable()) {
-        {
-            const std::lock_guard<std::mutex> lock(send_mutex_);
-            writer_stop_ = true;
-            send_queue_.clear();
-            queued_send_bytes_ = 0;
-        }
-        send_cv_.notify_all();
-        writer_.join();
+    {
+        const std::lock_guard<std::mutex> lock(send_mutex_);
+        send_queue_.clear();
+        queued_send_bytes_ = 0;
     }
-    pipelined_ = false;
+    stop_writer();
     close_quietly(fd_);
 }
 
 void TcpTransport::close() noexcept {
-    // Drain the pipelined queue (the goodbye must FOLLOW every data
-    // frame) and retire the writer before the synchronous goodbye below;
-    // a writer that already failed has nothing left to deliver.
-    stop_writer(/*swallow_errors=*/true);
+    // Drain the queue (the goodbye must FOLLOW every data frame) and
+    // retire the writer before writing the goodbye below; a writer that
+    // already failed has nothing left to deliver.
+    stop_writer();
     if (fd_ < 0) return;
     // Best-effort goodbye so the peer sees a clean end-of-session, then
     // half-close and drain: waiting for the peer's EOF (or goodbye)
@@ -539,7 +510,7 @@ void TcpTransport::close() noexcept {
     // drain is bounded in bytes as well as per-read time so a hostile
     // peer streaming garbage cannot pin the closing thread.
     try {
-        send_frame(FrameType::kShutdown, phase_, {});
+        write_frame(FrameType::kShutdown, phase_, {});
     } catch (...) {  // peer already gone; nothing to announce
     }
     (void)::shutdown(fd_, SHUT_WR);
@@ -559,13 +530,13 @@ void TcpTransport::close() noexcept {
 }
 
 void TcpTransport::refuse_busy() noexcept {
-    stop_writer(/*swallow_errors=*/true);
+    stop_writer();
     if (fd_ < 0) return;
     // Unmetered like the handshake: the session these frames would have
     // belonged to never starts, so there is no protocol phase to charge.
     try {
-        send_frame(FrameType::kBusy, phase_, {});
-        send_frame(FrameType::kShutdown, phase_, {});
+        write_frame(FrameType::kBusy, phase_, {});
+        write_frame(FrameType::kShutdown, phase_, {});
     } catch (...) {  // peer already gone; nothing to refuse
     }
     (void)::shutdown(fd_, SHUT_WR);

@@ -69,13 +69,23 @@ struct ServerBusy final : Error {
 /// performs the version/party handshake and enables TCP_NODELAY (the
 /// protocols are ping-pong; Nagle would serialize every flight behind a
 /// delayed ACK).
+///
+/// Sends are pipelined (docs/PROTOCOL.md §10): from the end of the
+/// handshake until close, abort_connection or refuse_busy, a writer
+/// thread drains a bounded queue of pre-framed messages, so send_bytes
+/// copies the frame and returns while the NIC drains. Stats are recorded
+/// at enqueue time on the protocol thread, so ChannelStats (bytes,
+/// messages, flights) follow the call order. A writer-side socket
+/// failure is stored and rethrown from the next send/recv/flush on the
+/// protocol thread.
 class TcpTransport final : public Transport {
 public:
-    /// Adopts a connected socket and runs the handshake, whose read is
-    /// bounded by `handshake_timeout_ms` (an accepting server must not be
-    /// wedged by a connected-but-silent peer; a connector must be allowed
-    /// to wait out the server's accept queue, so connect() passes its
-    /// caller's remaining deadline). Throws c2pi::Error on timeout, a
+    /// Adopts a connected socket, runs the handshake and starts the
+    /// writer thread. The handshake read is bounded by
+    /// `handshake_timeout_ms` (an accepting server must not be wedged by
+    /// a connected-but-silent peer; a connector must be allowed to wait
+    /// out the server's accept queue, so connect() passes its caller's
+    /// remaining deadline). Throws c2pi::Error on timeout, a
     /// magic/version mismatch, or if the peer claims the same party id.
     TcpTransport(int fd, int party_id, int handshake_timeout_ms = 10'000);
     ~TcpTransport() override;
@@ -88,15 +98,6 @@ public:
     [[nodiscard]] ChannelStats stats() const override;
     [[nodiscard]] WaitStats wait_stats() const override;
 
-    /// Pipelined sends (docs/PROTOCOL.md §10): ON spawns a writer thread
-    /// draining a bounded queue of pre-framed messages, so send_bytes
-    /// copies the frame and returns while the NIC drains; OFF flushes the
-    /// queue and joins the writer. Stats are recorded at enqueue time on
-    /// the protocol thread, so ChannelStats — bytes, messages, flights —
-    /// are bit-identical to the synchronous path. A writer-side socket
-    /// failure is stored and rethrown from the next send/recv/flush on
-    /// the protocol thread.
-    void set_pipelined_sends(bool enabled) override;
     void flush_sends() override;
 
     /// Session bootstrap: the serialized model artifact travels in its
@@ -110,19 +111,21 @@ public:
     /// Preprocessing key batches travel in kKeys frames: metered like
     /// DATA (a real deployment pays for key shipment) but always under
     /// Phase::kPreprocess, whatever phase the transport is in
-    /// (docs/PROTOCOL.md §4). The frame is always written synchronously
-    /// from the caller's buffer: with pipelining on, the writer queue is
-    /// drained first (flush_sends), so no copy of the batch is made and
-    /// frame order is unchanged.
+    /// (docs/PROTOCOL.md §4). The frame is written on the calling thread
+    /// from the caller's buffer once the writer queue has drained
+    /// (flush_sends), so no copy of the batch is made and frame order is
+    /// unchanged; the write's blocked time is charged to the
+    /// kPreprocess send wait.
     void send_keys_bytes(std::span<const std::uint8_t> bytes) override;
     [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override;
 
     /// Overload rejection: a BUSY frame in place of the session's
     /// ARTIFACT frame (docs/PROTOCOL.md §5), so the peer's pending recv
     /// raises ServerBusy, then the goodbye frame and half-close without
-    /// the drain. Skipping the drain is safe because the peer has sent
-    /// nothing past the handshake we already read, and it keeps a
-    /// rejection from stalling the accept loop on a slow peer.
+    /// the drain. Both frames are written on the calling thread after the
+    /// writer has stopped. Skipping the drain is safe because the peer
+    /// has sent nothing past the handshake we already read, and it keeps
+    /// a rejection from stalling the accept loop on a slow peer.
     void refuse_busy() noexcept override;
 
     /// Abort a `recv_bytes` blocked longer than this with a typed
@@ -147,18 +150,20 @@ public:
     /// close().
     void abort_connection() noexcept override;
 
-    /// Graceful shutdown: send a kShutdown frame, half-close, drain the
-    /// peer's remaining bytes (bounded — a hostile streamer cannot pin
-    /// us here), close. Idempotent; also run (with errors swallowed) by
-    /// the destructor.
+    /// Graceful shutdown: let the writer deliver every queued frame and
+    /// stop, write a kShutdown frame, half-close, drain the peer's
+    /// remaining bytes (bounded — a hostile streamer cannot pin us
+    /// here), close. Idempotent; also run (with errors swallowed) by the
+    /// destructor.
     void close() noexcept override;
     [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
 private:
-    /// Send one frame: queued for the writer when pipelined, else written.
+    /// Copy one frame into the writer's queue.
     void send_frame(FrameType type, Phase phase, std::span<const std::uint8_t> payload);
     /// Write one frame on the calling thread (header and payload in one
-    /// gathered sendmsg). With pipelining on, only after flush_sends.
+    /// gathered sendmsg). Only while the writer is idle: after
+    /// flush_sends or stop_writer.
     void write_frame(FrameType type, Phase phase, std::span<const std::uint8_t> payload);
     /// Read the next frame into `out`, requiring its type to be
     /// `expected`; returns the sender's phase tag. Shutdown frames and
@@ -171,9 +176,9 @@ private:
     /// Queue one pre-framed buffer for the writer thread, blocking (and
     /// charging WaitStats) while the queue is over its byte bound.
     void enqueue_frame(std::vector<std::uint8_t> frame, Phase phase);
-    /// Drain the queue through the writer, then join it. Rethrows a
-    /// pending writer error unless `swallow_errors` (the close path).
-    void stop_writer(bool swallow_errors) noexcept(false);
+    /// Let the writer drain the queue, then join it. A writer that
+    /// failed has already dropped the queue and exited.
+    void stop_writer() noexcept;
     void writer_loop();
     void rethrow_writer_error();
 
@@ -185,9 +190,7 @@ private:
     ChannelStats stats_;
     WaitStats waits_;  ///< guarded by stats_mutex_
 
-    // -- pipelined send path (protocol thread + one writer thread) -----------
-    bool pipelined_ = false;  ///< protocol-thread-only flag
-    std::thread writer_;
+    // -- send path (protocol thread + one writer thread) ----------------------
     std::mutex send_mutex_;
     std::condition_variable send_cv_;    ///< wakes the writer
     std::condition_variable drain_cv_;   ///< wakes enqueuers / flush
@@ -196,6 +199,7 @@ private:
     bool writer_stop_ = false;
     bool writer_busy_ = false;  ///< a frame is popped but not yet written
     std::exception_ptr writer_error_;
+    std::thread writer_;  ///< after everything writer_loop touches
 };
 
 /// Listening socket for the server party. Binds immediately (port 0 asks

@@ -110,13 +110,14 @@ struct ChannelStats {
 
 /// Seconds an endpoint spent *blocked on the network*, per phase and
 /// direction: waiting for a peer message to arrive (recv), or waiting
-/// for the transport to accept outgoing bytes (a synchronous socket
-/// write, or a full pipelined send queue). Kept OUT of ChannelStats on
-/// purpose — wall time is nondeterministic, and ChannelStats equality is
-/// what the wire-parity tests pin. Subtracting the wait from a phase's
-/// wall time yields its compute time, which is how pi_server/pi_client
-/// report the compute/communication overlap of the pipelined online
-/// phase.
+/// for the transport to accept outgoing bytes (a full send queue, a
+/// flush_sends, or a KEYS frame's write, which TcpTransport makes on the
+/// calling thread and charges to kPreprocess). Kept OUT of ChannelStats
+/// on purpose — wall time is nondeterministic, and ChannelStats equality
+/// is what the wire-parity tests pin. Subtracting the wait from a
+/// phase's wall time yields its compute time, which is how
+/// pi_server/pi_client report the compute/communication overlap of the
+/// pipelined online phase.
 struct WaitStats {
     double send_seconds[kNumPhases] = {};  ///< blocked handing bytes to the transport
     double recv_seconds[kNumPhases] = {};  ///< blocked waiting for the peer
@@ -179,18 +180,14 @@ public:
     [[nodiscard]] virtual WaitStats wait_stats() const { return {}; }
 
     // -- pipelined sends -----------------------------------------------------
-    /// Switch this endpoint's send path between synchronous (send_bytes
-    /// returns after the bytes reached the OS) and pipelined (send_bytes
-    /// enqueues into a bounded per-session queue drained by a writer
-    /// thread and returns immediately). Frame order, per-message bytes,
-    /// and ChannelStats accounting are identical in both modes — stats
-    /// are recorded at enqueue time on the protocol thread — so the wire
-    /// transcript is bit-identical either way. Transports whose sends
-    /// already never block (the in-process queue) treat this as a no-op.
+    /// A no-op that nothing in the library calls: sends are always
+    /// pipelined (docs/PROTOCOL.md §10). Kept only because
+    /// servebench/serving/tracing.hpp's TracingTransport overrides it.
     virtual void set_pipelined_sends(bool enabled) { (void)enabled; }
-    /// Block until every pipelined send has been handed to the OS,
+    /// Block until every queued send has been handed to the OS,
     /// rethrowing any asynchronous send failure on the calling thread.
-    /// A no-op for synchronous transports.
+    /// A no-op for transports whose sends never queue (the in-process
+    /// channel).
     virtual void flush_sends() {}
 
     /// Hard abort: tear the connection down *without* the goodbye

@@ -55,8 +55,8 @@ struct PiStats {
     std::uint64_t online_flights = 0;
     std::uint64_t preprocess_flights = 0;
     double wall_seconds = 0.0;
-    /// Seconds this party spent blocked on the network (recv waits plus
-    /// pipelined-send backpressure/flush), split per phase. Filled by
+    /// Seconds this party spent blocked on the network (recv waits, send
+    /// backpressure and flushes, the KEYS write), split per phase. Filled by
     /// stats_from_transport; compute time for a phase is its wall share
     /// minus these. Deliberately NOT part of the byte/flight accounting
     /// that parity tests compare — timing is never deterministic.

@@ -1,8 +1,6 @@
 #include "pi/session.hpp"
 
-#include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "fss/compare.hpp"
 #include "fss/key_pool.hpp"
@@ -10,13 +8,6 @@
 #include "mpc/nonlinear.hpp"
 
 namespace c2pi::pi {
-
-bool pipeline_default() {
-    const char* env = std::getenv("C2PI_PIPELINE");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off");
-}
 
 mpc::NonlinearBackend resolve_nonlinear(const SessionConfig& config) {
     if (config.nonlinear.has_value()) return *config.nonlinear;
@@ -201,16 +192,23 @@ crypto::Block128 session_seed(const SessionConfig& config) {
     return crypto::Block128{config.seed, config.seed ^ 0xC2F1};
 }
 
+const SessionConfig& pipelined(const SessionConfig& config) {
+    require(config.pipeline, "SessionConfig::pipeline = false: sessions always pipeline");
+    return config;
+}
+
 }  // namespace
+
+ServerSession::ServerSession(const CompiledModel& model, SessionConfig config)
+    : model_(&model), config_(pipelined(config)) {}
+
+ClientSession::ClientSession(const ClientModel& model, SessionConfig config)
+    : model_(&model), config_(pipelined(config)) {}
 
 void ServerSession::run(net::Transport& transport) const {
     const CompiledModel& cm = *model_;
     mpc::PartyContext ctx(transport, cm.fmt(), cm.bfv(), session_seed(config_));
     ctx.set_gc_cache(&cm.gc_cache());
-    // Pipelining is local scheduling only (wire-identical); each party
-    // decides for itself, so no negotiation byte is needed.
-    ctx.set_pipeline(config_.pipeline);
-    transport.set_pipelined_sends(config_.pipeline);
     const mpc::NonlinearBackend nonlinear = resolve_nonlinear(config_);
     // Charge the dealer/base-OT setup to the offline phase. The last byte
     // of the setup message announces the server's (authoritative)
@@ -264,8 +262,6 @@ Tensor ClientSession::run(net::Transport& transport, const Tensor& input) const 
 
     mpc::PartyContext ctx(transport, art.fmt, model_->bfv(), session_seed(config_));
     ctx.set_gc_cache(&model_->gc_cache());
-    ctx.set_pipeline(config_.pipeline);
-    transport.set_pipelined_sends(config_.pipeline);
     transport.set_phase(net::Phase::kOffline);
     // Dealer setup; its trailing byte is the server's announced nonlinear
     // backend, which is authoritative for the session.

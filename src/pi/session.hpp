@@ -30,13 +30,9 @@
 
 namespace c2pi::pi {
 
-/// Default for SessionConfig::pipeline: true unless the environment sets
-/// C2PI_PIPELINE to "0" or "off" (CI runs the full suite both ways).
-[[nodiscard]] bool pipeline_default();
-
 /// Per-connection protocol parameters. Both parties of a session must
-/// agree on all fields but `pipeline`: the seed derives both parties'
-/// base OTs and PRGs (mpc::PartyContext), so it is shared, not secret.
+/// agree on all of them: the seed derives both parties' base OTs and
+/// PRGs (mpc::PartyContext), so it is shared, not secret.
 struct SessionConfig {
     PiBackend backend = PiBackend::kCheetah;
     /// Uniform noise magnitude the client adds to its revealed share
@@ -49,12 +45,11 @@ struct SessionConfig {
     /// announced at session start, and a client whose own explicit choice
     /// differs raises NonlinearMismatch instead of hanging mid-protocol.
     std::optional<mpc::NonlinearBackend> nonlinear;
-    /// Compute/communication overlap (docs/PROTOCOL.md §10): pipelined
-    /// transport sends and chunked HE response streaming. Purely local
-    /// scheduling — wire bytes, frame order, and logits are bit-identical
-    /// either way, so the two parties need NOT agree on this field.
-    /// Default on; C2PI_PIPELINE=0 forces it off (see pipeline_default).
-    bool pipeline = pipeline_default();
+    /// Sessions always pipeline (docs/PROTOCOL.md §10), so this must stay
+    /// `true`: a ServerSession or ClientSession built with `false` throws
+    /// before any frame is sent. Kept only because
+    /// servebench/serving/replay.hpp still reads it.
+    bool pipeline = true;
 };
 
 /// The server's resolved nonlinear backend for this config.
@@ -72,8 +67,7 @@ struct NonlinearMismatch final : Error {
 /// The model owner's side of one private inference.
 class ServerSession {
 public:
-    ServerSession(const CompiledModel& model, SessionConfig config)
-        : model_(&model), config_(config) {}
+    ServerSession(const CompiledModel& model, SessionConfig config);
 
     /// Serve one inference over the transport. The clear tail (if any)
     /// runs inline on this request's revealed [1, ...] boundary
@@ -96,8 +90,7 @@ class ClientSession {
 public:
     /// Borrows a weightless client compiled from a (typically
     /// wire-received) artifact; `model` must outlive the session.
-    ClientSession(const ClientModel& model, SessionConfig config)
-        : model_(&model), config_(config) {}
+    ClientSession(const ClientModel& model, SessionConfig config);
 
     /// Run one private inference on a [1,C,H,W] input matching the
     /// artifact's input shape; returns the logits [1, classes].
@@ -132,8 +125,9 @@ inline void validate_client_input(const CompiledModel& model, const Tensor& inpu
 [[nodiscard]] PiStats stats_from_channel(const net::ChannelStats& stats);
 
 /// stats_from_channel plus this party's compute-vs-network split: the
-/// transport's per-phase blocked-on-network seconds (recv waits + any
-/// pipelined-send backpressure) land in the *_wait_seconds fields.
+/// transport's per-phase blocked-on-network seconds (recv waits, send
+/// backpressure and flushes, the KEYS write) land in the *_wait_seconds
+/// fields.
 [[nodiscard]] PiStats stats_from_transport(const net::Transport& transport);
 
 /// Translate a finished run's channel accounting into PiStats.

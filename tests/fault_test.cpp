@@ -496,6 +496,90 @@ TEST(FaultInjection, ShippedBytesMustMatchAnnouncedDigest) {
     server_thread.join();
 }
 
+// ------------------------------------------- decorated serving lifecycle ---
+
+/// A connected loopback pair: {server end (party 0), client end (party 1)}.
+std::pair<std::unique_ptr<net::TcpTransport>, std::unique_ptr<net::TcpTransport>> loopback_pair(
+    net::TcpListener& listener) {
+    std::unique_ptr<net::TcpTransport> client;
+    std::thread connector(
+        [&] { client = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000); });
+    auto server = listener.accept(/*timeout_ms=*/10'000);
+    connector.join();
+    return {std::move(server), std::move(client)};
+}
+
+TEST(FaultInjection, DecoratorForwardsServingLifecycleCalls) {
+    // A pool serves whatever Transport it is handed, so a FaultyTransport
+    // with an empty schedule must act like the TcpTransport under it for
+    // deadlines, the goodbye and the BUSY refusal too.
+    net::TcpListener listener(/*port=*/0);
+
+    // Deadlines set through the decorator reach the socket: each fires at
+    // 100 ms, not at the inner transport's own 10 s.
+    {
+        auto [server, client] = loopback_pair(listener);
+        client->set_recv_timeout(10'000);
+        net::FaultyTransport faulty(*client, {});
+        faulty.set_recv_timeout(100);
+        auto start = std::chrono::steady_clock::now();
+        EXPECT_THROW((void)faulty.recv_bytes(), net::RecvTimeout);
+        EXPECT_LT(std::chrono::steady_clock::now() - start, 3s) << "recv deadline was dropped";
+        faulty.set_recv_timeout(10'000);
+        faulty.arm_handshake_deadline(100);
+        start = std::chrono::steady_clock::now();
+        EXPECT_THROW((void)faulty.recv_bytes(), net::RecvTimeout);
+        EXPECT_LT(std::chrono::steady_clock::now() - start, 3s)
+            << "handshake deadline was dropped";
+    }
+
+    // A decorated close() sends the goodbye frame: the peer's pending
+    // recv ends in the clean-shutdown PeerClosed, not a timeout.
+    {
+        auto [server, client] = loopback_pair(listener);
+        server->set_recv_timeout(5'000);
+        net::FaultyTransport faulty(*client, {});
+        std::thread closer([&] { faulty.close(); });
+        try {
+            (void)server->recv_bytes();
+            ADD_FAILURE() << "recv after the peer's close returned a message";
+        } catch (const net::PeerClosed& e) {
+            EXPECT_STREQ(e.what(), "tcp recv: peer ended the session");
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "expected the goodbye frame's PeerClosed, got: " << e.what();
+        }
+        server->close();  // ends the closer's drain
+        closer.join();
+    }
+
+    // A decorated refuse_busy() sends BUSY: the client's bootstrap raises
+    // the typed ServerBusy, not the abrupt-disconnect PeerClosed.
+    {
+        auto [server, client] = loopback_pair(listener);
+        client->set_recv_timeout(5'000);
+        net::FaultyTransport faulty(*server, {});
+        faulty.refuse_busy();
+        EXPECT_THROW((void)fetch_artifact(*client, nullptr), net::ServerBusy);
+    }
+}
+
+TEST(FaultInjection, DisconnectDeliversItsLeakedPrefixOverTcp) {
+    // kDisconnect with a nonzero param sends the payload's first `param`
+    // bytes as a valid frame, then aborts. TcpTransport queues every send
+    // for its writer thread and an abort drops that queue, so the prefix
+    // reaches the peer only because the decorator flushes it first.
+    net::TcpListener listener(/*port=*/0);
+    auto [server, client] = loopback_pair(listener);
+    server->set_recv_timeout(5'000);
+    net::FaultyTransport faulty(*client, net::FaultSchedule({{.kind = net::FaultKind::kDisconnect,
+                                                               .op = net::FaultOp::kSend,
+                                                               .at_op = 0,
+                                                               .param = 4}}));
+    EXPECT_THROW(faulty.send_bytes(std::vector<std::uint8_t>(100, 7)), net::FaultInjected);
+    EXPECT_EQ(server->recv_bytes(), std::vector<std::uint8_t>(4, 7));
+    EXPECT_THROW((void)server->recv_bytes(), net::PeerClosed);
+}
+
 // -------------------------------------------------- in-proc abort parity ---
 
 TEST(FaultInjection, InProcAbortDeliversQueuedMessagesThenRaisesPeerClosed) {

@@ -31,48 +31,10 @@
 #include "pi/session.hpp"
 
 #include "../examples/remote_common.hpp"
+#include "recording_transport.hpp"
 
 namespace c2pi {
 namespace {
-
-/// Transport decorator that records every sent payload verbatim.
-class RecordingTransport final : public net::Transport {
-public:
-    RecordingTransport(net::Transport& inner, std::vector<std::vector<std::uint8_t>>& sent)
-        : Transport(inner.party_id()), inner_(&inner), sent_(&sent) {}
-
-    void send_bytes(std::span<const std::uint8_t> data) override {
-        sent_->emplace_back(data.begin(), data.end());
-        inner_->set_phase(phase_);
-        inner_->send_bytes(data);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override { return inner_->recv_bytes(); }
-    void recv_bytes_into(std::vector<std::uint8_t>& out) override {
-        inner_->recv_bytes_into(out);
-    }
-    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
-
-    // Bootstrap/preprocessing channels forward to the wrapped transport;
-    // FSS key batches are protocol traffic and are recorded like any
-    // other payload (artifact shipping is setup and is not).
-    void send_artifact_bytes(std::span<const std::uint8_t> bytes) override {
-        inner_->send_artifact_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_artifact_bytes() override {
-        return inner_->recv_artifact_bytes();
-    }
-    void send_keys_bytes(std::span<const std::uint8_t> bytes) override {
-        sent_->emplace_back(bytes.begin(), bytes.end());
-        inner_->send_keys_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override {
-        return inner_->recv_keys_bytes();
-    }
-
-private:
-    net::Transport* inner_;
-    std::vector<std::vector<std::uint8_t>>* sent_;
-};
 
 struct Transcript {
     std::vector<std::vector<std::uint8_t>> server_sent, client_sent;

@@ -398,18 +398,15 @@ TEST(ResNetPi, CrossBackendLogitsBitIdentical) {
     for (const auto nonlinear :
          {mpc::NonlinearBackend::kGarbledCircuit, mpc::NonlinearBackend::kOtMillionaire,
           mpc::NonlinearBackend::kFss}) {
-        for (const bool pipeline : {true, false}) {
-            SessionConfig config{.seed = 7};
-            config.nonlinear = nonlinear;
-            config.pipeline = pipeline;
-            const PiResult res = run_private_inference(compiled, config, input);
-            if (reference.numel() == 0) {
-                reference = res.logits;
-            } else {
-                ASSERT_TRUE(res.logits.same_shape(reference));
-                EXPECT_TRUE(res.logits.allclose(reference, 0.0F))
-                    << "nonlinear backend / pipelining changed resnet logits";
-            }
+        SessionConfig config{.seed = 7};
+        config.nonlinear = nonlinear;
+        const PiResult res = run_private_inference(compiled, config, input);
+        if (reference.numel() == 0) {
+            reference = res.logits;
+        } else {
+            ASSERT_TRUE(res.logits.same_shape(reference));
+            EXPECT_TRUE(res.logits.allclose(reference, 0.0F))
+                << "nonlinear backend changed resnet logits";
         }
     }
     // And the shared secret reconstructs the plaintext model (fixed-point

@@ -1,18 +1,20 @@
-// Pipelined-online-phase parity suite (compute/communication overlap):
-// the claim is that pipelining is pure *scheduling* — chunked HE
-// response streaming and the transport's writer-thread send queue
-// change WHEN work happens, never what goes on the wire. Pinned here at
+// Pipelined-schedule suite (compute/communication overlap): every
+// session sends through the transport's writer-thread queue and streams
+// its HE responses chunk by chunk, and the claim is that this schedule
+// changes WHEN work happens, never what goes on the wire. Pinned here at
 // three levels:
 //
-//  * session (in-process): pipeline on vs off across the full
-//    {gc,ot,fss} x {Cheetah, Delphi, full-PI} matrix — bit-identical
-//    logits, identical per-phase ChannelStats, and byte-identical
-//    per-message wire payloads (every payload compared, not totals);
-//  * transport (loopback TCP): the pipelined writer thread delivers the
-//    exact frame sequence of the synchronous path with identical
-//    enqueue-time accounting, a full pipelined session over TCP matches
-//    the synchronous in-process reference, and blocked-recv time lands
-//    in the wait bucket of the phase that was current at the call;
+//  * session: the full {gc,ot,fss} x {Cheetah, Delphi, full-PI} matrix
+//    over loopback TCP against the in-process run — bit-identical
+//    logits, identical per-phase ChannelStats at both TCP ends, and
+//    byte-identical per-message wire payloads (every payload compared,
+//    not totals); a session or context set up with `pipeline = false`
+//    throws before it sends anything;
+//  * transport (loopback TCP): the writer thread delivers exactly the
+//    frames sent, in order, and both ends account them identically, a
+//    KEYS frame included; the KEYS write's blocked time is preprocess
+//    send wait, and blocked-recv time lands in the wait bucket of the
+//    phase that was current at the call;
 //  * serving (chaos): a client that dies MID-STREAM while the server's
 //    pipelined response chunks are in flight is contained and
 //    classified as a client abort by the ServingPool, and a clean
@@ -37,53 +39,13 @@
 #include "pi/bootstrap.hpp"
 #include "pi/serving_pool.hpp"
 #include "pi/session.hpp"
+#include "loopback.hpp"
+#include "recording_transport.hpp"
 
 namespace c2pi {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Transport decorator that records every sent payload verbatim and
-/// forwards the pipelined-send controls (parity_test.cpp idiom; over an
-/// InProcTransport the controls are no-ops, so recording stays on the
-/// protocol thread and is race-free even with pipelining on).
-class RecordingTransport final : public net::Transport {
-public:
-    RecordingTransport(net::Transport& inner, std::vector<std::vector<std::uint8_t>>& sent)
-        : Transport(inner.party_id()), inner_(&inner), sent_(&sent) {}
-
-    void send_bytes(std::span<const std::uint8_t> data) override {
-        sent_->emplace_back(data.begin(), data.end());
-        inner_->set_phase(phase_);
-        inner_->send_bytes(data);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override { return inner_->recv_bytes(); }
-    void recv_bytes_into(std::vector<std::uint8_t>& out) override {
-        inner_->recv_bytes_into(out);
-    }
-    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
-    [[nodiscard]] net::WaitStats wait_stats() const override { return inner_->wait_stats(); }
-    void set_pipelined_sends(bool enabled) override { inner_->set_pipelined_sends(enabled); }
-    void flush_sends() override { inner_->flush_sends(); }
-
-    void send_artifact_bytes(std::span<const std::uint8_t> bytes) override {
-        inner_->send_artifact_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_artifact_bytes() override {
-        return inner_->recv_artifact_bytes();
-    }
-    void send_keys_bytes(std::span<const std::uint8_t> bytes) override {
-        sent_->emplace_back(bytes.begin(), bytes.end());
-        inner_->send_keys_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override {
-        return inner_->recv_keys_bytes();
-    }
-
-private:
-    net::Transport* inner_;
-    std::vector<std::vector<std::uint8_t>>* sent_;
-};
 
 /// Cheap model with conv/ReLU/FC coverage (fault_test.cpp's topology):
 /// the matrix below runs 18 full sessions, so each must be fast.
@@ -118,9 +80,9 @@ struct SessionTranscript {
     net::ChannelStats stats;
 };
 
-SessionTranscript run_session(const pi::CompiledModel& compiled, pi::SessionConfig config,
-                              const Tensor& input, bool pipeline) {
-    config.pipeline = pipeline;
+/// One recorded session over the in-process channel.
+SessionTranscript run_inproc_session(const pi::CompiledModel& compiled,
+                                     const pi::SessionConfig& config, const Tensor& input) {
     const pi::ServerSession server(compiled, config);
     const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
     const pi::ClientSession client(client_model, config);
@@ -140,27 +102,52 @@ SessionTranscript run_session(const pi::CompiledModel& compiled, pi::SessionConf
     return tr;
 }
 
-void expect_same_transcript(const SessionTranscript& sync, const SessionTranscript& piped,
+/// The same session over loopback TCP. Each end keeps its own
+/// ChannelStats; they must agree with each other before either is
+/// compared with anything else.
+SessionTranscript run_tcp_session(const pi::CompiledModel& compiled,
+                                  const pi::SessionConfig& config, const Tensor& input,
+                                  const std::string& what) {
+    const pi::ServerSession server(compiled, config);
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    const pi::ClientSession client(client_model, config);
+    SessionTranscript tr;
+    const LoopbackRun run = run_loopback(
+        [&](net::TcpTransport& t) {
+            RecordingTransport rec(t, tr.server_sent);
+            server.run(rec);
+        },
+        [&](net::TcpTransport& t) {
+            RecordingTransport rec(t, tr.client_sent);
+            tr.logits = client.run(rec, input);
+        });
+    EXPECT_EQ(run.server_stats, run.client_stats)
+        << what << ": the two TCP ends' accounting diverged";
+    tr.stats = run.client_stats;
+    return tr;
+}
+
+void expect_same_transcript(const SessionTranscript& reference, const SessionTranscript& run,
                             const std::string& what) {
-    ASSERT_TRUE(piped.logits.same_shape(sync.logits)) << what;
-    EXPECT_TRUE(piped.logits.allclose(sync.logits, 0.0F))
-        << what << ": pipelining changed the logits";
-    EXPECT_EQ(piped.stats, sync.stats) << what << ": per-phase byte/flight stats diverged";
-    ASSERT_EQ(piped.server_sent.size(), sync.server_sent.size())
+    ASSERT_TRUE(run.logits.same_shape(reference.logits)) << what;
+    EXPECT_TRUE(run.logits.allclose(reference.logits, 0.0F))
+        << what << ": the transport changed the logits";
+    EXPECT_EQ(run.stats, reference.stats) << what << ": per-phase byte/flight stats diverged";
+    ASSERT_EQ(run.server_sent.size(), reference.server_sent.size())
         << what << ": server message count";
-    ASSERT_EQ(piped.client_sent.size(), sync.client_sent.size())
+    ASSERT_EQ(run.client_sent.size(), reference.client_sent.size())
         << what << ": client message count";
-    for (std::size_t i = 0; i < sync.server_sent.size(); ++i)
-        EXPECT_EQ(piped.server_sent[i], sync.server_sent[i])
+    for (std::size_t i = 0; i < reference.server_sent.size(); ++i)
+        EXPECT_EQ(run.server_sent[i], reference.server_sent[i])
             << what << ": server message " << i << " diverged";
-    for (std::size_t i = 0; i < sync.client_sent.size(); ++i)
-        EXPECT_EQ(piped.client_sent[i], sync.client_sent[i])
+    for (std::size_t i = 0; i < reference.client_sent.size(); ++i)
+        EXPECT_EQ(run.client_sent[i], reference.client_sent[i])
             << what << ": client message " << i << " diverged";
 }
 
 // ------------------------------------------------- session-level parity ---
 
-TEST(PipelineParity, StreamingMatchesSynchronousAcrossBackendMatrix) {
+TEST(PipelineParity, TcpMatchesInProcAcrossBackendMatrix) {
     struct Cell {
         const char* name;
         pi::PiBackend backend;
@@ -187,135 +174,145 @@ TEST(PipelineParity, StreamingMatchesSynchronousAcrossBackendMatrix) {
             config.nonlinear = nonlinear;
             const std::string what =
                 std::string(cell.name) + "/" + pi::nonlinear_name(nonlinear);
-            const auto sync = run_session(compiled, config, input, /*pipeline=*/false);
-            const auto piped = run_session(compiled, config, input, /*pipeline=*/true);
-            ASSERT_GT(sync.server_sent.size(), 0U) << what;
-            expect_same_transcript(sync, piped, what);
+            const auto inproc = run_inproc_session(compiled, config, input);
+            const auto tcp = run_tcp_session(compiled, config, input, what);
+            ASSERT_GT(inproc.server_sent.size(), 0U) << what;
+            expect_same_transcript(inproc, tcp, what);
         }
     }
 }
 
+TEST(PipelineParity, SynchronousScheduleIsRefusedBeforeAnyFrame) {
+    const nn::Sequential model = tiny_model();
+    const pi::CompiledModel compiled(model, tiny_options(/*full_pi=*/false));
+    const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
+    pi::SessionConfig config{.seed = 5};
+    config.pipeline = false;
+    // Both ends are aborted up front, so a session that did start would
+    // fail on its first recv instead of waiting for a peer; the channel's
+    // empty accounting is what shows that nothing was sent.
+    net::DuplexChannel channel;
+    net::InProcTransport server_end(channel, mpc::kServer);
+    net::InProcTransport client_end(channel, mpc::kClient);
+    server_end.abort_connection();
+    EXPECT_THROW(pi::ServerSession(compiled, config).run(server_end), Error);
+    EXPECT_THROW((void)pi::ClientSession(client_model, config).run(client_end, tiny_input()),
+                 Error);
+    mpc::PartyContext ctx(server_end, compiled.fmt(), compiled.bfv(), crypto::Block128{5, 6});
+    EXPECT_THROW(ctx.set_pipeline(false), Error);
+    EXPECT_NO_THROW(ctx.set_pipeline(true));
+    EXPECT_EQ(channel.stats(), net::ChannelStats{}) << "a refused session sent a frame";
+}
+
 // ----------------------------------------------- transport-level parity ---
 
-TEST(PipelineTransport, TcpWriterThreadPreservesFrameSequenceAndStats) {
-    // The same message schedule over a synchronous and a pipelined
-    // connection: the receiver must observe identical frames in order,
-    // and the sender's enqueue-time accounting must match byte for byte
-    // even with a phase flip mid-stream while frames are still queued.
-    const auto run_one = [](bool pipelined) {
-        net::TcpListener listener(/*port=*/0);
-        std::vector<std::vector<std::uint8_t>> received;
-        std::thread server_thread([&] {
-            auto t = listener.accept(/*timeout_ms=*/10'000);
-            t->set_recv_timeout(10'000);
-            for (int i = 0; i < 6; ++i) received.push_back(t->recv_bytes());
-            t->send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
-            t->close();
-        });
-        auto t = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000);
-        t->set_recv_timeout(10'000);
-        t->set_pipelined_sends(pipelined);
-        Rng rng(17);
-        for (int i = 0; i < 6; ++i) {
-            t->set_phase(i < 3 ? net::Phase::kOffline : net::Phase::kOnline);
-            std::vector<std::uint8_t> msg(static_cast<std::size_t>(64 + 1000 * i));
-            for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
-            t->send_bytes(msg);
-        }
-        t->flush_sends();
-        (void)t->recv_bytes();
-        const auto stats = t->stats();
-        const auto waits = t->wait_stats();
-        t->close();
-        server_thread.join();
-        return std::make_tuple(std::move(received), stats, waits);
-    };
+/// `count` messages of pseudo-random bytes, message i sized `size(i)`.
+template <typename SizeFn>
+std::vector<std::vector<std::uint8_t>> random_messages(std::uint64_t seed, int count,
+                                                       SizeFn&& size) {
+    Rng rng(seed);
+    std::vector<std::vector<std::uint8_t>> messages;
+    for (int i = 0; i < count; ++i) {
+        std::vector<std::uint8_t> msg(size(i));
+        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+        messages.push_back(std::move(msg));
+    }
+    return messages;
+}
 
-    const auto [sync_frames, sync_stats, sync_waits] = run_one(false);
-    const auto [piped_frames, piped_stats, piped_waits] = run_one(true);
-    ASSERT_EQ(piped_frames.size(), sync_frames.size());
-    for (std::size_t i = 0; i < sync_frames.size(); ++i)
-        EXPECT_EQ(piped_frames[i], sync_frames[i]) << "frame " << i << " diverged";
-    EXPECT_EQ(piped_stats, sync_stats)
-        << "pipelined sends changed the per-phase byte/flight accounting";
-    // Wait accounting exists in both modes and never goes negative.
-    EXPECT_GE(sync_waits.total_seconds(), 0.0);
-    EXPECT_GE(piped_waits.total_seconds(), 0.0);
+TEST(PipelineTransport, TcpWriterThreadPreservesFrameSequenceAndStats) {
+    // Six DATA frames with a phase flip mid-stream while frames are still
+    // queued: the receiver must observe exactly the sent frames, in
+    // order, and its accounting (from the frames' phase tags) must equal
+    // the sender's enqueue-time accounting byte for byte.
+    const auto sent = random_messages(
+        17, 6, [](int i) { return static_cast<std::size_t>(64 + 1000 * i); });
+    std::vector<std::vector<std::uint8_t>> received;
+    net::WaitStats sender_waits;
+    const LoopbackRun run = run_loopback(
+        [&](net::TcpTransport& t) {
+            for (std::size_t i = 0; i < sent.size(); ++i) received.push_back(t.recv_bytes());
+            t.send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
+        },
+        [&](net::TcpTransport& t) {
+            for (std::size_t i = 0; i < sent.size(); ++i) {
+                t.set_phase(i < 3 ? net::Phase::kOffline : net::Phase::kOnline);
+                t.send_bytes(sent[i]);
+            }
+            t.flush_sends();
+            (void)t.recv_bytes();
+            sender_waits = t.wait_stats();
+        });
+    ASSERT_EQ(received.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        EXPECT_EQ(received[i], sent[i]) << "frame " << i << " diverged";
+    EXPECT_EQ(run.client_stats, run.server_stats)
+        << "the two ends' per-phase accounting diverged";
+    EXPECT_EQ(run.client_stats.phase_bytes(net::Phase::kOffline), 64U + 1064U + 2064U);
+    EXPECT_GE(sender_waits.total_seconds(), 0.0);
 }
 
 TEST(PipelineTransport, KeysFrameAfterQueuedDataKeepsOrderAndStats) {
-    // Three DATA frames, a 2 MiB KEYS frame, then two more DATA frames,
-    // over a synchronous and a pipelined connection. The pipelined KEYS
-    // frame is written on the protocol thread once the writer has drained
-    // its queue. The messages are made before the first send and the
-    // receiver starts reading 200 ms late, while the first three frames
-    // (9 MiB) exceed loopback's 4 MiB send buffer, so DATA frames are
-    // still queued when the KEYS frame is sent. Every frame must arrive
-    // whole and in send order (a KEYS frame that overtakes or interleaves
-    // with DATA fails the typed recv) and both ends' accounting must match.
-    Rng rng(23);
-    const auto random_bytes = [&](std::size_t size) {
-        std::vector<std::uint8_t> msg(size);
-        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
-        return msg;
-    };
-    std::vector<std::vector<std::uint8_t>> sent;
-    for (int i = 0; i < 3; ++i)
-        sent.push_back(random_bytes((std::size_t{3} << 20) + static_cast<std::size_t>(1000 * i)));
-    sent.push_back(random_bytes(std::size_t{2} << 20));  // the KEYS frame
-    for (int i = 0; i < 2; ++i) sent.push_back(random_bytes(static_cast<std::size_t>(64 + i)));
-
-    const auto run_one = [&](bool pipelined) {
-        net::TcpListener listener(/*port=*/0);
-        std::vector<std::vector<std::uint8_t>> received;
-        net::ChannelStats sender_stats, receiver_stats;
-        std::exception_ptr server_error, client_error;
-        std::thread server_thread([&] {
-            try {
-                auto t = listener.accept(/*timeout_ms=*/10'000);
-                t->set_recv_timeout(10'000);
-                std::this_thread::sleep_for(200ms);
-                for (int i = 0; i < 3; ++i) received.push_back(t->recv_bytes());
-                received.push_back(t->recv_keys_bytes());
-                for (int i = 0; i < 2; ++i) received.push_back(t->recv_bytes());
-                t->send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
-                receiver_stats = t->stats();
-                t->close();
-            } catch (...) {
-                server_error = std::current_exception();
-            }
+    // Three DATA frames, a 2 MiB KEYS frame, then two more DATA frames.
+    // The KEYS frame is written on the protocol thread once the writer
+    // has drained its queue. The messages are made before the first send
+    // and the receiver starts reading 200 ms late, while the first three
+    // frames (9 MiB) exceed loopback's 4 MiB send buffer, so DATA frames
+    // are still queued when the KEYS frame is sent. Every frame must
+    // arrive whole and in send order (a KEYS frame that overtakes or
+    // interleaves with DATA fails the typed recv) and both ends'
+    // accounting must match.
+    const auto sent = random_messages(23, 6, [](int i) {
+        if (i < 3) return (std::size_t{3} << 20) + static_cast<std::size_t>(1000 * i);
+        if (i == 3) return std::size_t{2} << 20;  // the KEYS frame
+        return static_cast<std::size_t>(60 + i);
+    });
+    std::vector<std::vector<std::uint8_t>> received;
+    const LoopbackRun run = run_loopback(
+        [&](net::TcpTransport& t) {
+            std::this_thread::sleep_for(200ms);
+            for (int i = 0; i < 3; ++i) received.push_back(t.recv_bytes());
+            received.push_back(t.recv_keys_bytes());
+            for (int i = 0; i < 2; ++i) received.push_back(t.recv_bytes());
+            t.send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
+        },
+        [&](net::TcpTransport& t) {
+            t.set_phase(net::Phase::kOffline);
+            for (int i = 0; i < 3; ++i) t.send_bytes(sent[static_cast<std::size_t>(i)]);
+            t.send_keys_bytes(sent[3]);
+            t.set_phase(net::Phase::kOnline);
+            for (std::size_t i = 4; i < sent.size(); ++i) t.send_bytes(sent[i]);
+            t.flush_sends();
+            (void)t.recv_bytes();
         });
-        try {
-            auto t = net::connect("127.0.0.1", listener.port(), /*timeout_ms=*/10'000);
-            t->set_recv_timeout(10'000);
-            t->set_pipelined_sends(pipelined);
-            t->set_phase(net::Phase::kOffline);
-            for (int i = 0; i < 3; ++i) t->send_bytes(sent[static_cast<std::size_t>(i)]);
-            t->send_keys_bytes(sent[3]);
-            t->set_phase(net::Phase::kOnline);
-            for (std::size_t i = 4; i < sent.size(); ++i) t->send_bytes(sent[i]);
-            t->flush_sends();
-            (void)t->recv_bytes();
-            sender_stats = t->stats();
-            t->close();
-        } catch (...) {
-            client_error = std::current_exception();
-        }
-        server_thread.join();
-        if (server_error) std::rethrow_exception(server_error);
-        if (client_error) std::rethrow_exception(client_error);
-        return std::make_tuple(std::move(received), sender_stats, receiver_stats);
-    };
+    ASSERT_EQ(received.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        EXPECT_EQ(received[i], sent[i]) << "frame " << i << " diverged";
+    EXPECT_EQ(run.client_stats, run.server_stats)
+        << "the two ends' per-phase accounting diverged";
+    EXPECT_EQ(run.client_stats.phase_bytes(net::Phase::kPreprocess), std::uint64_t{2} << 20);
+}
 
-    const auto [sync_frames, sync_sender, sync_receiver] = run_one(false);
-    const auto [piped_frames, piped_sender, piped_receiver] = run_one(true);
-    ASSERT_EQ(sync_frames, sent);
-    ASSERT_EQ(piped_frames.size(), sync_frames.size());
-    for (std::size_t i = 0; i < sync_frames.size(); ++i)
-        EXPECT_EQ(piped_frames[i], sync_frames[i]) << "frame " << i << " diverged";
-    EXPECT_EQ(piped_sender, sync_sender) << "sender's per-phase accounting diverged";
-    EXPECT_EQ(piped_receiver, sync_receiver) << "receiver's per-phase accounting diverged";
-    EXPECT_EQ(sync_sender.phase_bytes(net::Phase::kPreprocess), std::uint64_t{2} << 20);
+TEST(PipelineTransport, KeysWriteIsChargedAsPreprocessSendWait) {
+    // A 16 MiB KEYS frame, far more than loopback's socket buffers hold,
+    // to a peer that starts reading 300 ms late: the write blocks on the
+    // protocol thread until the peer drains it, and that time is the
+    // sender's kPreprocess send wait.
+    const std::vector<std::uint8_t> keys(std::size_t{16} << 20, 0x5A);
+    net::WaitStats sender_waits;
+    (void)run_loopback(
+        [&](net::TcpTransport& t) {
+            std::this_thread::sleep_for(300ms);
+            EXPECT_EQ(t.recv_keys_bytes().size(), keys.size());
+            t.send_bytes(std::vector<std::uint8_t>{0xAA});  // release the client
+        },
+        [&](net::TcpTransport& t) {
+            t.send_keys_bytes(keys);
+            sender_waits = t.wait_stats();
+            (void)t.recv_bytes();
+        });
+    EXPECT_GE(sender_waits.send_seconds[static_cast<int>(net::Phase::kPreprocess)], 0.15)
+        << "the blocked KEYS write must show as preprocess send wait";
 }
 
 TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
@@ -339,19 +336,17 @@ TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
     EXPECT_EQ(a.wait_stats().total_seconds(), 0.0);
 }
 
-/// A pipelined session of `config` over loopback TCP against the
-/// synchronous in-process run: identical logits and per-phase stats.
-void expect_pipelined_tcp_matches_inproc(pi::SessionConfig config) {
+/// A session of `config` over loopback TCP against the in-process run:
+/// identical logits and per-phase stats.
+void expect_pipelined_tcp_matches_inproc(const pi::SessionConfig& config) {
     const nn::Sequential model = tiny_model();
     auto opts = tiny_options(/*full_pi=*/false);
     opts.num_threads = 3;
     const pi::CompiledModel compiled(model, opts);
     const Tensor input = tiny_input();
 
-    config.pipeline = false;
     const pi::PiResult reference = pi::run_private_inference(compiled, config, input);
 
-    config.pipeline = true;
     const pi::ServerSession server(compiled, config);
     const pi::ClientModel client_model(compiled.artifact(), compiled.num_threads());
     const pi::ClientSession client(client_model, config);
@@ -390,8 +385,8 @@ TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
     expect_pipelined_tcp_matches_inproc(pi::SessionConfig{.seed = 41});
 }
 
-/// The FSS twin: the session's KEYS frame goes out after the pipelined
-/// writer drains, and must land exactly where the in-process run put it.
+/// The FSS twin: the session's KEYS frame goes out after the writer
+/// drains, and must land exactly where the in-process run put it.
 TEST(PipelineParity, PipelinedTcpFssSessionMatchesSynchronousInProc) {
     pi::SessionConfig config{.seed = 41};
     config.nonlinear = mpc::NonlinearBackend::kFss;
@@ -408,11 +403,9 @@ TEST(PipelineChaos, MidStreamDisconnectUnderPipeliningIsContained) {
     // pool. Shape follows fault_test.cpp's chaos harness.
     const nn::Sequential model = tiny_model();
     const pi::CompiledModel compiled(model, tiny_options(/*full_pi=*/false));
-    pi::SessionConfig config{.seed = 53};
+    const pi::SessionConfig config{.seed = 53};
     const Tensor input = tiny_input();
-    config.pipeline = false;
     const Tensor reference = pi::run_private_inference(compiled, config, input).logits;
-    config.pipeline = true;  // explicit: the property under test
 
     struct ReportLog {
         std::mutex m;
@@ -483,7 +476,7 @@ TEST(PipelineChaos, MidStreamDisconnectUnderPipeliningIsContained) {
         const auto counting = run_client({});
         ASSERT_TRUE(counting.ok);
         EXPECT_TRUE(counting.logits.allclose(reference, 0.0F))
-            << "pipelined serving diverged from the synchronous reference";
+            << "pipelined serving diverged from the in-process reference";
         EXPECT_TRUE(wait_report(++session_count).ok);
         total_ops = counting.ops;
     }
